@@ -25,6 +25,14 @@ cmake -B "${BUILD_DIR}" -S .
 echo "==> build (-j${JOBS})"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
+# Gating release-preset library build: the -O3 benchmarking build
+# inlines more than the default RelWithDebInfo one and so surfaces GCC
+# diagnostics (e.g. -Wrestrict false positives) the default build never
+# sees. Warnings stay errors here too.
+echo "==> release preset (gating): library build"
+cmake --preset release > /dev/null
+cmake --build --preset release -j "${JOBS}" --target blazeit > /dev/null
+
 echo "==> ctest: fast lane (-L fast)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L fast -j "${JOBS}"
 
@@ -242,15 +250,16 @@ else
 fi
 
 # Non-gating perf report: rerun the micro-benchmarks and print deltas vs
-# the committed baseline. The fresh run goes to the build dir, not to the
-# committed bench/BENCH_pr3.json snapshot, so CI never dirties the
-# recorded measurements. A regression here should be investigated but
-# does not fail the build — micro-bench noise on shared CI machines is
-# too high for a hard gate.
+# the newest committed snapshot. The fresh run goes to the build dir, not
+# to the committed snapshots, so CI never dirties the recorded
+# measurements. A regression here should be investigated but does not
+# fail the build — micro-bench noise on shared CI machines is too high
+# for a hard gate.
+BENCH_SNAPSHOT="bench/BENCH_pr8.json"
 if [[ -x "${BUILD_DIR}/bench/bench_micro_components" ]]; then
-  echo "==> bench: micro-benchmarks vs bench/BENCH_baseline.json (non-gating)"
+  echo "==> bench: micro-benchmarks vs ${BENCH_SNAPSHOT} (non-gating)"
   BLAZEIT_BENCH_FAIL_PCT=25 bench/run_benchmarks.sh compare "${BUILD_DIR}" \
-    "${BUILD_DIR}/BENCH_current.json" \
+    "${BUILD_DIR}/BENCH_current.json" "${BENCH_SNAPSHOT}" \
     || echo "==> bench report failed or regressed >25% (non-gating)"
 else
   echo "==> bench: bench_micro_components not built; skipping perf report"

@@ -92,7 +92,11 @@ BlazeItEngine::BlazeItEngine(VideoCatalog* catalog, EngineOptions options)
     for (const std::string& name : catalog_->StreamNames()) {
       if (!first) streams += ",";
       first = false;
-      streams += "\"" + net::JsonEscape(name) + "\"";
+      // Appended piecewise: the one-expression concatenation trips a GCC 12
+      // -Werror=restrict false positive at -O3.
+      streams += '"';
+      streams += net::JsonEscape(name);
+      streams += '"';
     }
     streams += "]";
     return StrFormat(

@@ -1,5 +1,7 @@
 #include "core/shared_sweep.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 
 namespace blazeit {
@@ -39,34 +41,42 @@ int64_t SharedSweepCache::blob_records() const {
   return static_cast<int64_t>(blobs_.size());
 }
 
-bool SharedSweepCache::GetFloats(uint64_t ns, int64_t frame,
-                                 std::vector<float>* out) const {
+template <typename T>
+std::vector<size_t> SharedSweepCache::GetRows(uint64_t ns,
+                                              std::span<const int64_t> frames,
+                                              size_t width, std::span<T> out) {
+  std::vector<size_t> miss;
   util::MutexLock lock(mu_);
-  auto it = floats_.find({ns, frame});
-  if (it == floats_.end()) return false;
-  *out = it->second;
-  return true;
+  const RowMap<T>& rows = Rows<T>();
+  for (size_t i = 0; i < frames.size(); ++i) {
+    auto it = rows.find({ns, frames[i]});
+    if (it == rows.end() || it->second.size() != width) {
+      miss.push_back(i);
+      continue;
+    }
+    std::copy(it->second.begin(), it->second.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(i * width));
+  }
+  return miss;
 }
 
-void SharedSweepCache::PutFloats(uint64_t ns, int64_t frame,
-                                 const std::vector<float>& v) {
+template <typename T>
+void SharedSweepCache::PutRows(uint64_t ns, std::span<const int64_t> frames,
+                               size_t width, std::span<const T> rows,
+                               const std::vector<size_t>& indices) {
   util::MutexLock lock(mu_);
-  floats_.emplace(Key{ns, frame}, v);  // first write wins
+  RowMap<T>& map = Rows<T>();
+  for (size_t i : indices) {
+    const T* row = rows.data() + i * width;
+    map.emplace(Key{ns, frames[i]}, std::vector<T>(row, row + width));
+  }
 }
 
-bool SharedSweepCache::GetDoubles(uint64_t ns, int64_t frame,
-                                  std::vector<double>* out) const {
+template <typename T>
+void SharedSweepCache::PutRow(uint64_t ns, int64_t frame,
+                              const std::vector<T>& row) {
   util::MutexLock lock(mu_);
-  auto it = doubles_.find({ns, frame});
-  if (it == doubles_.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-void SharedSweepCache::PutDoubles(uint64_t ns, int64_t frame,
-                                  const std::vector<double>& v) {
-  util::MutexLock lock(mu_);
-  doubles_.emplace(Key{ns, frame}, v);
+  Rows<T>().emplace(Key{ns, frame}, row);  // first write wins
 }
 
 bool SharedSweepCache::GetBlob(uint64_t ns, std::vector<float>* out) const {
@@ -82,48 +92,69 @@ void SharedSweepCache::PutBlob(uint64_t ns, const std::vector<float>& v) {
   blobs_.emplace(ns, v);
 }
 
-bool SweepCacheView::GetFrameFloats(uint64_t ns, int64_t frame,
-                                    std::vector<float>* out) {
-  if (shared_->GetFloats(ns, frame, out)) {
-    ++shared_float_hits_;
-    SharedHits()->Add();
-    return true;
+template <typename T>
+std::vector<size_t> SweepCacheView::ReadThrough(
+    uint64_t ns, std::span<const int64_t> frames, size_t width,
+    std::span<T> out, int64_t* shared_hits) {
+  std::vector<size_t> miss = shared_->GetRows<T>(ns, frames, width, out);
+  const int64_t served = static_cast<int64_t>(frames.size() - miss.size());
+  *shared_hits += served;
+  SharedHits()->Add(served);
+  if (miss.empty() || underlying_ == nullptr) return miss;
+
+  std::vector<int64_t> rest(miss.size());
+  for (size_t j = 0; j < miss.size(); ++j) rest[j] = frames[miss[j]];
+  std::vector<T> rows(rest.size() * width);
+  std::vector<size_t> rest_miss;
+  if constexpr (std::is_same_v<T, float>) {
+    rest_miss = underlying_->GetFrameFloatRows(ns, rest, width, rows);
+  } else {
+    rest_miss = underlying_->GetFrameDoubleRows(ns, rest, width, rows);
   }
-  if (underlying_ != nullptr && underlying_->GetFrameFloats(ns, frame, out)) {
-    // Promote so later queries of the batch hit the memory tier; the
-    // persistent value is bit-identical to recomputation by contract.
-    shared_->PutFloats(ns, frame, *out);
-    SharedPromotions()->Add();
-    return true;
+
+  // Copy the persistent hits out and promote them, so later queries of
+  // the batch hit the memory tier (the persistent value is bit-identical
+  // to recomputation by contract); what the persistent tier missed too
+  // stays missed.
+  std::vector<size_t> promoted;
+  std::vector<size_t> still_missed;
+  size_t next_miss = 0;
+  for (size_t j = 0; j < rest.size(); ++j) {
+    if (next_miss < rest_miss.size() && rest_miss[next_miss] == j) {
+      still_missed.push_back(miss[j]);
+      ++next_miss;
+      continue;
+    }
+    std::copy_n(rows.begin() + static_cast<std::ptrdiff_t>(j * width), width,
+                out.begin() + static_cast<std::ptrdiff_t>(miss[j] * width));
+    promoted.push_back(miss[j]);
   }
-  return false;
+  shared_->PutRows<T>(ns, frames, width, out, promoted);
+  SharedPromotions()->Add(static_cast<int64_t>(promoted.size()));
+  return still_missed;
+}
+
+std::vector<size_t> SweepCacheView::GetFrameFloatRows(
+    uint64_t ns, std::span<const int64_t> frames, size_t width,
+    std::span<float> out) {
+  return ReadThrough(ns, frames, width, out, &shared_float_hits_);
 }
 
 void SweepCacheView::PutFrameFloats(uint64_t ns, int64_t frame,
                                     const std::vector<float>& values) {
-  shared_->PutFloats(ns, frame, values);
+  shared_->PutRow(ns, frame, values);
   if (underlying_ != nullptr) underlying_->PutFrameFloats(ns, frame, values);
 }
 
-bool SweepCacheView::GetFrameDoubles(uint64_t ns, int64_t frame,
-                                     std::vector<double>* out) {
-  if (shared_->GetDoubles(ns, frame, out)) {
-    ++shared_double_hits_;
-    SharedHits()->Add();
-    return true;
-  }
-  if (underlying_ != nullptr &&
-      underlying_->GetFrameDoubles(ns, frame, out)) {
-    shared_->PutDoubles(ns, frame, *out);
-    SharedPromotions()->Add();
-    return true;
-  }
-  return false;
+std::vector<size_t> SweepCacheView::GetFrameDoubleRows(
+    uint64_t ns, std::span<const int64_t> frames, size_t width,
+    std::span<double> out) {
+  return ReadThrough(ns, frames, width, out, &shared_double_hits_);
 }
 
 void SweepCacheView::PutFrameDoubles(uint64_t ns, int64_t frame,
                                      const std::vector<double>& values) {
-  shared_->PutDoubles(ns, frame, values);
+  shared_->PutRow(ns, frame, values);
   if (underlying_ != nullptr) underlying_->PutFrameDoubles(ns, frame, values);
 }
 

@@ -2,6 +2,8 @@
 #define BLAZEIT_CORE_SHARED_SWEEP_H_
 
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -56,23 +58,41 @@ class SharedSweepCache {
     }
   };
 
-  bool GetFloats(uint64_t ns, int64_t frame, std::vector<float>* out) const
+  template <typename T>
+  using RowMap = std::unordered_map<Key, std::vector<T>, KeyHash>;
+
+  /// The per-frame row map of one value type (floats_ or doubles_).
+  template <typename T>
+  RowMap<T>& Rows() BLAZEIT_REQUIRES(mu_) {
+    if constexpr (std::is_same_v<T, float>) {
+      return floats_;
+    } else {
+      return doubles_;
+    }
+  }
+
+  /// Ranged read under one lock: copies every resident row of exactly
+  /// `width` values into `out` and returns the missed indices, ascending.
+  template <typename T>
+  std::vector<size_t> GetRows(uint64_t ns, std::span<const int64_t> frames,
+                              size_t width, std::span<T> out)
       BLAZEIT_EXCLUDES(mu_);
-  void PutFloats(uint64_t ns, int64_t frame, const std::vector<float>& v)
+  /// Inserts rows[i * width, (i + 1) * width) for frames[i], for each i
+  /// of `indices`, under one lock; first write wins.
+  template <typename T>
+  void PutRows(uint64_t ns, std::span<const int64_t> frames, size_t width,
+               std::span<const T> rows, const std::vector<size_t>& indices)
       BLAZEIT_EXCLUDES(mu_);
-  bool GetDoubles(uint64_t ns, int64_t frame, std::vector<double>* out) const
-      BLAZEIT_EXCLUDES(mu_);
-  void PutDoubles(uint64_t ns, int64_t frame, const std::vector<double>& v)
+  template <typename T>
+  void PutRow(uint64_t ns, int64_t frame, const std::vector<T>& row)
       BLAZEIT_EXCLUDES(mu_);
   bool GetBlob(uint64_t ns, std::vector<float>* out) const
       BLAZEIT_EXCLUDES(mu_);
   void PutBlob(uint64_t ns, const std::vector<float>& v) BLAZEIT_EXCLUDES(mu_);
 
   mutable util::Mutex mu_;
-  std::unordered_map<Key, std::vector<float>, KeyHash> floats_
-      BLAZEIT_GUARDED_BY(mu_);
-  std::unordered_map<Key, std::vector<double>, KeyHash> doubles_
-      BLAZEIT_GUARDED_BY(mu_);
+  RowMap<float> floats_ BLAZEIT_GUARDED_BY(mu_);
+  RowMap<double> doubles_ BLAZEIT_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, std::vector<float>> blobs_
       BLAZEIT_GUARDED_BY(mu_);
 };
@@ -103,12 +123,16 @@ class SweepCacheView final : public ArtifactCache {
   SweepCacheView(SharedSweepCache* shared, ArtifactCache* underlying)
       : shared_(shared), underlying_(underlying) {}
 
-  bool GetFrameFloats(uint64_t ns, int64_t frame,
-                      std::vector<float>* out) override;
+  std::vector<size_t> GetFrameFloatRows(uint64_t ns,
+                                        std::span<const int64_t> frames,
+                                        size_t width,
+                                        std::span<float> out) override;
   void PutFrameFloats(uint64_t ns, int64_t frame,
                       const std::vector<float>& values) override;
-  bool GetFrameDoubles(uint64_t ns, int64_t frame,
-                       std::vector<double>* out) override;
+  std::vector<size_t> GetFrameDoubleRows(uint64_t ns,
+                                         std::span<const int64_t> frames,
+                                         size_t width,
+                                         std::span<double> out) override;
   void PutFrameDoubles(uint64_t ns, int64_t frame,
                        const std::vector<double>& values) override;
   bool GetBlob(uint64_t ns, std::vector<float>* out) override;
@@ -125,6 +149,15 @@ class SweepCacheView final : public ArtifactCache {
   int64_t shared_models() const { return shared_blob_hits_; }
 
  private:
+  /// The ranged read of one value type: the shared tier first, the rest
+  /// from the persistent tier, promoting what it returns. `shared_hits`
+  /// counts the rows the shared tier served.
+  template <typename T>
+  std::vector<size_t> ReadThrough(uint64_t ns,
+                                  std::span<const int64_t> frames,
+                                  size_t width, std::span<T> out,
+                                  int64_t* shared_hits);
+
   SharedSweepCache* shared_;
   ArtifactCache* underlying_;
   int64_t shared_float_hits_ = 0;

@@ -29,22 +29,16 @@ class FrameFilter {
   /// inference.
   virtual std::vector<double> ScoreBatch(
       const SyntheticVideo& video, const std::vector<int64_t>& frames) const {
-    std::vector<double> out;
-    out.reserve(frames.size());
-    if (score_cache_ == nullptr) {
-      for (int64_t frame : frames) out.push_back(Score(video, frame));
-      return out;
-    }
+    std::vector<double> out(frames.size());
     const uint64_t ns = HashCombine(cache_identity_, video.fingerprint());
-    std::vector<double> cached;
-    for (int64_t frame : frames) {
-      if (score_cache_->GetFrameDoubles(ns, frame, &cached) &&
-          cached.size() == 1) {
-        out.push_back(cached[0]);
-      } else {
-        const double score = Score(video, frame);
-        score_cache_->PutFrameDoubles(ns, frame, {score});
-        out.push_back(score);
+    const std::vector<size_t> miss =
+        score_cache_ != nullptr
+            ? score_cache_->GetFrameDoubleRows(ns, frames, 1, out)
+            : ArtifactCache::AllMissed(frames.size());
+    for (size_t i : miss) {
+      out[i] = Score(video, frames[i]);
+      if (score_cache_ != nullptr) {
+        score_cache_->PutFrameDoubles(ns, frames[i], {out[i]});
       }
     }
     return out;

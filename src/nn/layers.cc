@@ -4,15 +4,21 @@
 
 namespace blazeit {
 
-Linear::Linear(int in_dim, int out_dim, Rng* rng)
+Linear::Linear(int in_dim, int out_dim)
     : in_dim_(in_dim),
       out_dim_(out_dim),
       w_(in_dim, out_dim),
       w_grad_(in_dim, out_dim),
       b_(static_cast<size_t>(out_dim), 0.0f),
-      b_grad_(b_.size(), 0.0f) {
+      b_grad_(b_.size(), 0.0f) {}
+
+Linear::Linear(int in_dim, int out_dim, Rng* rng) : Linear(in_dim, out_dim) {
+  InitHe(rng);
+}
+
+void Linear::InitHe(Rng* rng) {
   // He initialization for ReLU networks.
-  double stddev = std::sqrt(2.0 / in_dim);
+  double stddev = std::sqrt(2.0 / in_dim_);
   for (float& w : w_.data()) w = static_cast<float>(rng->Normal(0.0, stddev));
 }
 

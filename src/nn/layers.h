@@ -36,7 +36,15 @@ class Layer {
 /// Fully-connected layer: y = x W + b, with He-initialized weights.
 class Linear : public Layer {
  public:
+  /// Zero weights and bias; InitHe draws the weights.
+  Linear(int in_dim, int out_dim);
+  /// Linear(in_dim, out_dim) followed by InitHe(rng).
   Linear(int in_dim, int out_dim, Rng* rng);
+
+  /// Draws every weight from N(0, 2 / in_dim), row-major — callers that
+  /// defer the draws (to skip them when cached weights load instead) get
+  /// the same values by initializing layers in construction order.
+  void InitHe(Rng* rng);
 
   Matrix Forward(const Matrix& input) override;
   Matrix Backward(const Matrix& grad_output) override;

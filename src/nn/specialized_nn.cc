@@ -154,18 +154,22 @@ Result<SpecializedNN> SpecializedNN::Train(
     clamped[h] = std::move(sub);
   }
 
-  // Build trunk and heads.
-  Rng rng(config.train.seed);
+  // Build trunk and heads with zero weights; the He-init draws wait until
+  // the cache has missed (below).
+  std::vector<Linear*> linears;  // init order: trunk first, then heads
   impl->trunk = std::make_unique<Sequential>();
   int dim = impl->input_dim;
   for (int hidden : config.hidden_dims) {
-    impl->trunk->Add(std::make_unique<Linear>(dim, hidden, &rng));
+    auto layer = std::make_unique<Linear>(dim, hidden);
+    linears.push_back(layer.get());
+    impl->trunk->Add(std::move(layer));
     impl->trunk->Add(std::make_unique<ReLU>());
     dim = hidden;
   }
   for (size_t h = 0; h < num_heads; ++h) {
     impl->heads.push_back(
-        std::make_unique<Linear>(dim, impl->head_classes[h], &rng));
+        std::make_unique<Linear>(dim, impl->head_classes[h]));
+    linears.push_back(impl->heads.back().get());
   }
 
   // Collect all parameters for the optimizer.
@@ -173,9 +177,10 @@ Result<SpecializedNN> SpecializedNN::Train(
 
   // With a persistent cache, a previous process may already have trained
   // this exact model (same day, labels, and config — the fingerprint covers
-  // them all). Loading the weights skips only the epoch loop below; the
-  // architecture, head sizing, and trained_frames accounting above ran
-  // identically, so a warm model is indistinguishable from a cold one.
+  // them all). Loading the weights skips the init draws and the epoch loop
+  // below; the architecture, head sizing, and trained_frames accounting
+  // above ran identically, so a warm model is indistinguishable from a
+  // cold one.
   impl->fingerprint = TrainFingerprint(train_day, head_labels, config);
   impl->cache = config.cache;
   if (config.cache != nullptr) {
@@ -203,6 +208,12 @@ Result<SpecializedNN> SpecializedNN::Train(
           << total_params << "; retraining";
     }
   }
+
+  // Cold path: He init in layer order from the training seed, then the
+  // same stream shuffles the epochs — the draw sequence is exactly that of
+  // initializing at construction.
+  Rng rng(config.train.seed);
+  for (Linear* layer : linears) layer->InitHe(&rng);
 
   SgdOptimizer opt(params, config.train.lr, config.train.momentum);
 
@@ -303,26 +314,15 @@ std::vector<float> SpecializedNN::ProbsForFrames(
     concat_size += static_cast<size_t>(classes);
   }
   std::vector<float> out(frames.size() * concat_size);
-  std::vector<size_t> miss;
 
+  // One ranged read serves every cached row straight into `out`.
   ArtifactCache* cache = impl_->cache;
   const uint64_t ns =
       cache ? HashCombine(impl_->fingerprint, video.fingerprint()) : 0;
-  if (cache != nullptr) {
-    std::vector<float> cached;
-    for (size_t i = 0; i < frames.size(); ++i) {
-      if (cache->GetFrameFloats(ns, frames[i], &cached) &&
-          cached.size() == concat_size) {
-        std::copy(cached.begin(), cached.end(),
-                  out.begin() + static_cast<std::ptrdiff_t>(i * concat_size));
-      } else {
-        miss.push_back(i);
-      }
-    }
-  } else {
-    miss.resize(frames.size());
-    std::iota(miss.begin(), miss.end(), size_t{0});
-  }
+  const std::vector<size_t> miss =
+      cache != nullptr
+          ? cache->GetFrameFloatRows(ns, frames, concat_size, out)
+          : ArtifactCache::AllMissed(frames.size());
 
   // Batched forward passes over the misses, sharded across the exec pool
   // (one eval batch per shard, per-worker render scratch). Layer math is

@@ -2,6 +2,7 @@
 #define BLAZEIT_OBS_COUNTING_CACHE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/artifact_cache.h"
@@ -43,24 +44,34 @@ class CountingCacheView final : public ArtifactCache {
   explicit CountingCacheView(ArtifactCache* underlying)
       : underlying_(underlying) {}
 
-  bool GetFrameFloats(uint64_t ns, int64_t frame,
-                      std::vector<float>* out) override {
-    const bool hit =
-        underlying_ != nullptr && underlying_->GetFrameFloats(ns, frame, out);
-    (hit ? stats_.frame_float_hits : stats_.frame_float_misses) += 1;
-    return hit;
+  std::vector<size_t> GetFrameFloatRows(uint64_t ns,
+                                        std::span<const int64_t> frames,
+                                        size_t width,
+                                        std::span<float> out) override {
+    std::vector<size_t> miss =
+        underlying_ != nullptr
+            ? underlying_->GetFrameFloatRows(ns, frames, width, out)
+            : AllMissed(frames.size());
+    Count(frames.size(), miss.size(), &stats_.frame_float_hits,
+          &stats_.frame_float_misses);
+    return miss;
   }
   void PutFrameFloats(uint64_t ns, int64_t frame,
                       const std::vector<float>& values) override {
     if (underlying_ != nullptr) underlying_->PutFrameFloats(ns, frame, values);
   }
 
-  bool GetFrameDoubles(uint64_t ns, int64_t frame,
-                       std::vector<double>* out) override {
-    const bool hit = underlying_ != nullptr &&
-                     underlying_->GetFrameDoubles(ns, frame, out);
-    (hit ? stats_.frame_double_hits : stats_.frame_double_misses) += 1;
-    return hit;
+  std::vector<size_t> GetFrameDoubleRows(uint64_t ns,
+                                         std::span<const int64_t> frames,
+                                         size_t width,
+                                         std::span<double> out) override {
+    std::vector<size_t> miss =
+        underlying_ != nullptr
+            ? underlying_->GetFrameDoubleRows(ns, frames, width, out)
+            : AllMissed(frames.size());
+    Count(frames.size(), miss.size(), &stats_.frame_double_hits,
+          &stats_.frame_double_misses);
+    return miss;
   }
   void PutFrameDoubles(uint64_t ns, int64_t frame,
                        const std::vector<double>& values) override {
@@ -81,6 +92,13 @@ class CountingCacheView final : public ArtifactCache {
   const CacheStats& stats() const { return stats_; }
 
  private:
+  /// A ranged read of `frames` rows that missed `missed` of them.
+  static void Count(size_t frames, size_t missed, int64_t* hits,
+                    int64_t* misses) {
+    *hits += static_cast<int64_t>(frames - missed);
+    *misses += static_cast<int64_t>(missed);
+  }
+
   ArtifactCache* underlying_;
   CacheStats stats_;
 };

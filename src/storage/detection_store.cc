@@ -1,12 +1,17 @@
 #include "storage/detection_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <tuple>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "storage/segment_sketch.h"
@@ -104,6 +109,48 @@ void RemoveSegmentsOrStrand(std::vector<std::string> paths,
   }
 }
 
+/// Checks one record read back from disk: `data`/`size` hold the bytes
+/// read at `extent` (fewer than extent.bytes when the file was truncated
+/// under it). The record must be complete, pass its CRC, fill exactly its
+/// indexed extent, and carry `frame`. On success `*payload` views the
+/// payload inside `data`.
+Status VerifyRecordAt(const std::string& path, RecordExtent extent,
+                      int64_t frame, const char* data, size_t size,
+                      std::string_view* payload) {
+  auto record = ValidateRecord(data, size);
+  if (!record.ok()) {
+    return Status(record.status().code(),
+                  StrFormat("%s: %s (offset %llu)", path.c_str(),
+                            record.status().message().c_str(),
+                            static_cast<unsigned long long>(extent.offset)));
+  }
+  if (record.value().encoded_bytes != extent.bytes ||
+      record.value().frame != frame) {
+    return Status::ParseError(StrFormat(
+        "%s: record at offset %llu is frame %lld of %zu bytes; the index "
+        "expects frame %lld of %u bytes",
+        path.c_str(), static_cast<unsigned long long>(extent.offset),
+        static_cast<long long>(record.value().frame),
+        record.value().encoded_bytes, static_cast<long long>(frame),
+        extent.bytes));
+  }
+  *payload = std::string_view(
+      data + kRecordHeaderBytes,
+      extent.bytes - kRecordHeaderBytes - kRecordFooterBytes);
+  return Status::OK();
+}
+
+/// Counts one verified disk record read (pending records are not reads).
+void CountPayloadRead(size_t payload_bytes) {
+  static obs::Counter* reads = obs::MetricsRegistry::Global().GetCounter(
+      "store.payload_reads", obs::Stability::kStable);
+  static obs::Histogram* bytes = obs::MetricsRegistry::Global().GetHistogram(
+      "store.payload_bytes", {64, 256, 1024, 4096, 16384, 65536},
+      obs::Stability::kStable);
+  reads->Add();
+  bytes->Observe(static_cast<int64_t>(payload_bytes));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -139,7 +186,9 @@ Status StoreWriter::Append(int64_t frame, const std::string& payload) {
         StrFormat("write failed on store segment '%s' at frame %lld",
                   path_.c_str(), static_cast<long long>(frame)));
   }
-  record_offsets_.emplace_back(frame, kStoreHeaderBytes + bytes_written_);
+  record_extents_.emplace_back(
+      frame, RecordExtent{kStoreHeaderBytes + bytes_written_,
+                          static_cast<uint32_t>(scratch_.size())});
   bytes_written_ += scratch_.size();
   ++records_written_;
   return Status::OK();
@@ -164,21 +213,19 @@ Status StoreWriter::Close() {
 Result<std::unique_ptr<StoreReader>> StoreReader::Open(
     const std::string& path, uint64_t expected_namespace,
     bool validate_records) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::NotFound(
         StrFormat("cannot open store segment '%s'", path.c_str()));
   }
-  std::unique_ptr<StoreReader> reader(
-      new StoreReader(path, std::move(in)));
-  // No other thread can reach the reader yet; the lock exists to satisfy
-  // the in_ ownership contract (and costs one uncontended acquire).
-  util::MutexLock io_lock(reader->io_mu_);
+  std::unique_ptr<StoreReader> reader(new StoreReader(path));
+  // Owned by the reader from here, so every early return closes it.
+  reader->fd_.store(fd);
 
-  char header_buf[kStoreHeaderBytes];
-  reader->in_.read(header_buf, sizeof(header_buf));
-  const size_t header_read = static_cast<size_t>(reader->in_.gcount());
-  auto header = DecodeSegmentHeader(header_buf, header_read);
+  auto header_bytes = reader->ReadAt(0, kStoreHeaderBytes);
+  if (!header_bytes.ok()) return header_bytes.status();
+  auto header = DecodeSegmentHeader(header_bytes.value().data(),
+                                    header_bytes.value().size());
   if (!header.ok()) {
     return Status(header.status().code(),
                   StrFormat("%s: %s", path.c_str(),
@@ -195,101 +242,111 @@ Result<std::unique_ptr<StoreReader>> StoreReader::Open(
         static_cast<unsigned long long>(expected_namespace)));
   }
   if (validate_records) {
-    BLAZEIT_RETURN_NOT_OK(reader->ScanAndIndex());
+    // Full CRC pass over every record, so a corrupt or truncated segment
+    // is rejected at open — before anything gets replayed — with an error
+    // that names the file. (Individual reads still re-verify their
+    // records: that is cheap and guards against the file changing after
+    // open.) One sequential read of the body, which is then dropped —
+    // only the frame -> extent index stays resident.
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      return Status::Internal(
+          StrFormat("%s: cannot stat segment", path.c_str()));
+    }
+    if (static_cast<uint64_t>(st.st_size) < kStoreHeaderBytes) {
+      return Status::OutOfRange(
+          StrFormat("%s: truncated store header", path.c_str()));
+    }
+    const uint64_t body_bytes =
+        static_cast<uint64_t>(st.st_size) - kStoreHeaderBytes;
+    auto body = reader->ReadAt(kStoreHeaderBytes, body_bytes);
+    if (!body.ok()) return body.status();
+    if (body.value().size() != body_bytes) {
+      return Status::Internal(
+          StrFormat("%s: short read while indexing", path.c_str()));
+    }
+    BLAZEIT_RETURN_NOT_OK(reader->ScanAndIndex(body.value()));
   }
-  reader->in_.close();  // reopened lazily by ReadPayloadAt
+  // Reopened lazily by the first payload read (see the class comment).
+  ::close(reader->fd_.exchange(-1));
   static obs::Counter* opens = obs::MetricsRegistry::Global().GetCounter(
       "store.segment_opens", obs::Stability::kStable);
   opens->Add();
   return reader;
 }
 
-Status StoreReader::ScanAndIndex() {
-  // Full CRC pass over every record, so a corrupt or truncated segment is
-  // rejected at open — before anything gets replayed — with an error that
-  // names the file. (Individual reads still re-verify their one record:
-  // that is cheap and guards against the file changing after open.) The
-  // pass reads the file sequentially into one buffer (per-record seeks
-  // would turn warm opens into hundreds of thousands of tiny syscalls),
-  // which is then dropped — only the frame -> offset index stays resident.
-  in_.clear();
-  in_.seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(in_.tellg());
-  if (file_size < kStoreHeaderBytes) {
-    return Status::OutOfRange(
-        StrFormat("%s: truncated store header: %llu of %zu bytes",
-                  path_.c_str(), static_cast<unsigned long long>(file_size),
-                  kStoreHeaderBytes));
+StoreReader::~StoreReader() {
+  const int fd = fd_.load();
+  if (fd >= 0) ::close(fd);
+}
+
+Result<int> StoreReader::Fd() const {
+  int fd = fd_.load(std::memory_order_acquire);
+  if (fd >= 0) return fd;
+  const int opened = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (opened < 0) {
+    return Status::NotFound(
+        StrFormat("store segment '%s' disappeared", path_.c_str()));
   }
-  std::string buffer(file_size - kStoreHeaderBytes, '\0');
-  in_.seekg(static_cast<std::streamoff>(kStoreHeaderBytes));
-  in_.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  if (static_cast<size_t>(in_.gcount()) != buffer.size()) {
-    return Status::Internal(
-        StrFormat("%s: short read while indexing", path_.c_str()));
+  if (fd_.compare_exchange_strong(fd, opened, std::memory_order_acq_rel)) {
+    return opened;
   }
+  ::close(opened);  // another reader published first; `fd` now holds it
+  return fd;
+}
+
+Result<std::string> StoreReader::ReadAt(uint64_t offset, size_t bytes) const {
+  auto fd = Fd();
+  if (!fd.ok()) return fd.status();
+  std::string buffer(bytes, '\0');
+  size_t got = 0;
+  while (got < bytes) {
+    const ssize_t n = ::pread(fd.value(), buffer.data() + got, bytes - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      return Status::Internal(StrFormat(
+          "%s: read failed at offset %llu: %s", path_.c_str(),
+          static_cast<unsigned long long>(offset + got),
+          std::system_category().message(errno).c_str()));
+    }
+    if (n == 0) break;  // end of file
+    got += static_cast<size_t>(n);
+  }
+  buffer.resize(got);
+  return buffer;
+}
+
+Result<std::string> StoreReader::ReadPayloadAt(int64_t frame,
+                                               RecordExtent extent) const {
+  auto bytes = ReadAt(extent.offset, extent.bytes);
+  if (!bytes.ok()) return bytes.status();
+  std::string_view payload;
+  BLAZEIT_RETURN_NOT_OK(VerifyRecordAt(path_, extent, frame,
+                                       bytes.value().data(),
+                                       bytes.value().size(), &payload));
+  CountPayloadRead(payload.size());
+  return std::string(payload);
+}
+
+Status StoreReader::ScanAndIndex(const std::string& body) {
   size_t pos = 0;
-  while (pos < buffer.size()) {
-    auto record = ValidateRecord(buffer.data() + pos, buffer.size() - pos);
+  while (pos < body.size()) {
+    auto record = ValidateRecord(body.data() + pos, body.size() - pos);
     if (!record.ok()) {
       return Status(record.status().code(),
                     StrFormat("%s: %s", path_.c_str(),
                               record.status().message().c_str()));
     }
-    index_[record.value().frame] = kStoreHeaderBytes + pos;
+    index_[record.value().frame] = RecordExtent{
+        kStoreHeaderBytes + pos,
+        static_cast<uint32_t>(record.value().encoded_bytes)};
     pos += record.value().encoded_bytes;
   }
   static obs::Counter* validated = obs::MetricsRegistry::Global().GetCounter(
       "store.records_crc_validated", obs::Stability::kStable);
   validated->Add(static_cast<int64_t>(index_.size()));
   return Status::OK();
-}
-
-Result<std::string> StoreReader::ReadPayloadAt(uint64_t offset) {
-  util::MutexLock io_lock(io_mu_);
-  if (!in_.is_open()) {
-    in_.open(path_, std::ios::binary);
-    if (!in_) {
-      return Status::NotFound(
-          StrFormat("store segment '%s' disappeared", path_.c_str()));
-    }
-  }
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  char rec_header[kRecordHeaderBytes];
-  in_.read(rec_header, sizeof(rec_header));
-  if (static_cast<size_t>(in_.gcount()) < sizeof(rec_header)) {
-    return Status::OutOfRange(
-        StrFormat("%s: truncated record header at offset %llu",
-                  path_.c_str(), static_cast<unsigned long long>(offset)));
-  }
-  uint32_t payload_bytes;
-  std::memcpy(&payload_bytes, rec_header + 8, sizeof(payload_bytes));
-  if (payload_bytes > kMaxRecordPayloadBytes) {
-    return Status::ParseError(StrFormat(
-        "%s: corrupt record length %u at offset %llu", path_.c_str(),
-        payload_bytes, static_cast<unsigned long long>(offset)));
-  }
-  const size_t total = kRecordHeaderBytes + payload_bytes + kRecordFooterBytes;
-  std::string buffer(total, '\0');
-  std::memcpy(buffer.data(), rec_header, kRecordHeaderBytes);
-  in_.read(buffer.data() + kRecordHeaderBytes,
-           static_cast<std::streamsize>(total - kRecordHeaderBytes));
-  const size_t got = kRecordHeaderBytes + static_cast<size_t>(in_.gcount());
-  auto record = DecodeRecord(buffer.data(), got);
-  if (!record.ok()) {
-    return Status(record.status().code(),
-                  StrFormat("%s: %s", path_.c_str(),
-                            record.status().message().c_str()));
-  }
-  static obs::Counter* reads = obs::MetricsRegistry::Global().GetCounter(
-      "store.payload_reads", obs::Stability::kStable);
-  static obs::Histogram* bytes = obs::MetricsRegistry::Global().GetHistogram(
-      "store.payload_bytes", {64, 256, 1024, 4096, 16384, 65536},
-      obs::Stability::kStable);
-  reads->Add();
-  bytes->Observe(static_cast<int64_t>(record.value().payload.size()));
-  return std::move(record.value().payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,15 +389,14 @@ Result<std::unique_ptr<DetectionStore>> DetectionStore::Open(
     const size_t segment_index = shard.segments.size();
     // Moved out of the reader: keeping both copies resident would double
     // index memory across a large store.
-    for (const auto& [frame, offset] : reader.value()->ReleaseIndex()) {
+    for (const auto& [frame, extent] : reader.value()->ReleaseIndex()) {
       // First segment (in sorted name order) wins on duplicate frames —
       // the same first-write-wins rule PutRaw and Flush apply — so every
       // reopening process resolves a duplicate to the same payload. A
       // losing record stays on disk as a shadowed duplicate until Compact
       // rewrites the namespace.
       auto [it, inserted] =
-          shard.disk_index.emplace(frame,
-                                   std::make_pair(segment_index, offset));
+          shard.disk_index.emplace(frame, DiskLoc(segment_index, extent));
       (void)it;
       if (!inserted) ++shard.shadowed;
     }
@@ -367,8 +423,8 @@ bool DetectionStore::Contains(uint64_t ns, int64_t frame) const {
 
 Result<std::string> DetectionStore::GetRaw(uint64_t ns, int64_t frame) {
   // Shared lock: lookups race only with other lookups (the common case —
-  // parallel frame scans all reading one warm store); the per-segment
-  // file handle is guarded inside ReadPayloadAt.
+  // parallel frame scans all reading one warm store); segment reads are
+  // positional and need no lock of their own.
   util::ReaderLock lock(mu_);
   auto it = shards_.find(ns);
   if (it != shards_.end()) {
@@ -376,14 +432,87 @@ Result<std::string> DetectionStore::GetRaw(uint64_t ns, int64_t frame) {
     if (pending != it->second.pending.end()) return pending->second;
     auto disk = it->second.disk_index.find(frame);
     if (disk != it->second.disk_index.end()) {
-      return it->second.segments[disk->second.first]->ReadPayloadAt(
-          disk->second.second);
+      return it->second.ReadDisk(frame, disk->second);
     }
   }
   return Status::NotFound(
       StrFormat("no record for namespace %016llx frame %lld",
                 static_cast<unsigned long long>(ns),
                 static_cast<long long>(frame)));
+}
+
+void DetectionStore::GetRawRange(uint64_t ns, std::span<const int64_t> frames,
+                                 const RecordFn& fn) {
+  // Runs are capped so one request over a huge namespace never buffers
+  // more than this at once.
+  constexpr uint64_t kMaxRunBytes = 4u << 20;
+  const Status not_found = Status::NotFound("no record");
+
+  util::ReaderLock lock(mu_);
+  auto it = shards_.find(ns);
+  if (it == shards_.end()) {
+    for (size_t i = 0; i < frames.size(); ++i) fn(i, not_found, {});
+    return;
+  }
+  const Shard& shard = it->second;
+  struct Hit {
+    DiskLoc loc;
+    size_t index;
+  };
+  std::vector<Hit> hits;
+  hits.reserve(frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    auto pending = shard.pending.find(frames[i]);
+    if (pending != shard.pending.end()) {
+      fn(i, Status::OK(), pending->second);
+      continue;
+    }
+    auto disk = shard.disk_index.find(frames[i]);
+    if (disk == shard.disk_index.end()) {
+      fn(i, not_found, {});
+      continue;
+    }
+    hits.push_back({disk->second, i});
+  }
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    return std::tie(a.loc.segment, a.loc.offset, a.index) <
+           std::tie(b.loc.segment, b.loc.offset, b.index);
+  });
+
+  // One positional read per run of records that sit back to back in one
+  // segment; each record in the run is then verified on its own, so a bad
+  // record fails alone.
+  for (size_t begin = 0; begin < hits.size();) {
+    const DiskLoc& first = hits[begin].loc;
+    uint64_t end_offset = first.offset + first.bytes;
+    size_t end = begin + 1;
+    while (end < hits.size() && hits[end].loc.segment == first.segment &&
+           hits[end].loc.offset == end_offset &&
+           end_offset + hits[end].loc.bytes - first.offset <= kMaxRunBytes) {
+      end_offset += hits[end].loc.bytes;
+      ++end;
+    }
+    const StoreReader& segment = *shard.segments[first.segment];
+    auto run = segment.ReadAt(first.offset, end_offset - first.offset);
+    for (size_t k = begin; k < end; ++k) {
+      const Hit& hit = hits[k];
+      std::string_view payload;
+      Status status = run.status();
+      if (run.ok()) {
+        const size_t at = static_cast<size_t>(hit.loc.offset - first.offset);
+        const size_t available =
+            at < run.value().size()
+                ? std::min<size_t>(run.value().size() - at, hit.loc.bytes)
+                : 0;
+        status = VerifyRecordAt(segment.path(), hit.loc.extent(),
+                                frames[hit.index], run.value().data() + at,
+                                available, &payload);
+        if (status.ok()) CountPayloadRead(payload.size());
+      }
+      fn(hit.index, status, payload);
+    }
+    begin = end;
+  }
 }
 
 Status DetectionStore::PutRaw(uint64_t ns, int64_t frame,
@@ -426,18 +555,6 @@ Result<std::vector<float>> DetectionStore::GetFloats(uint64_t ns,
 Status DetectionStore::PutFloats(uint64_t ns, int64_t frame,
                                  const std::vector<float>& values) {
   return PutRaw(ns, frame, EncodeFloatsPayload(values));
-}
-
-Result<std::vector<double>> DetectionStore::GetDoubles(uint64_t ns,
-                                                       int64_t frame) {
-  auto payload = GetRaw(ns, frame);
-  if (!payload.ok()) return payload.status();
-  return DecodeDoublesPayload(payload.value());
-}
-
-Status DetectionStore::PutDoubles(uint64_t ns, int64_t frame,
-                                  const std::vector<double>& values) {
-  return PutRaw(ns, frame, EncodeDoublesPayload(values));
 }
 
 Status DetectionStore::Scan(
@@ -574,8 +691,8 @@ Status DetectionStore::FlushShardLocked(uint64_t ns, Shard* shard) {
                                   /*validate_records=*/false);
   if (!reader.ok()) return reader.status();
   const size_t segment_index = shard->segments.size();
-  for (const auto& [frame, offset] : writer.value()->record_offsets()) {
-    shard->disk_index.emplace(frame, std::make_pair(segment_index, offset));
+  for (const auto& [frame, extent] : writer.value()->record_extents()) {
+    shard->disk_index.emplace(frame, DiskLoc(segment_index, extent));
   }
   shard->segments.push_back(std::move(reader).value());
   pending_records_ -= static_cast<int64_t>(shard->pending.size());
@@ -611,8 +728,7 @@ Status DetectionStore::RewriteShardLocked(uint64_t ns, Shard* shard,
       BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, pending->second));
       continue;
     }
-    const auto& [segment_index, offset] = shard->disk_index.at(frame);
-    auto payload = shard->segments[segment_index]->ReadPayloadAt(offset);
+    auto payload = shard->ReadDisk(frame, shard->disk_index.at(frame));
     if (!payload.ok()) return payload.status();
     // Since the whole namespace is being rewritten anyway, heal it in one
     // pass: any other record that decodes under no engine codec would
@@ -652,8 +768,8 @@ Status DetectionStore::RewriteShardLocked(uint64_t ns, Shard* shard,
   shard->segments.clear();
   shard->disk_index.clear();
   shard->shadowed = 0;
-  for (const auto& [frame, offset] : writer.value()->record_offsets()) {
-    shard->disk_index.emplace(frame, std::make_pair(size_t{0}, offset));
+  for (const auto& [frame, extent] : writer.value()->record_extents()) {
+    shard->disk_index.emplace(frame, DiskLoc(0, extent));
   }
   shard->segments.push_back(std::move(reader).value());
 
@@ -711,8 +827,7 @@ Status DetectionStore::RebuildSketchesLocked(uint64_t base_ns) {
       if (pending != shard.pending.end()) {
         payload = pending->second;
       } else {
-        const auto& [segment_index, offset] = shard.disk_index.at(frame);
-        auto read = shard.segments[segment_index]->ReadPayloadAt(offset);
+        auto read = shard.ReadDisk(frame, shard.disk_index.at(frame));
         if (!read.ok()) return read.status();
         payload = std::move(read).value();
       }
@@ -767,8 +882,7 @@ Status DetectionStore::RefreshSketchesLocked(uint64_t base_ns,
     if (disk == shard.disk_index.end()) {
       return Status::NotFound("no such sketch record");
     }
-    const auto& [segment_index, offset] = disk->second;
-    return shard.segments[segment_index]->ReadPayloadAt(offset);
+    return shard.ReadDisk(frame, disk->second);
   };
 
   // The shortcut is only sound against a sketch that was *current* before
@@ -797,7 +911,7 @@ Status DetectionStore::RefreshSketchesLocked(uint64_t base_ns,
   for (const auto& [frame, loc] : sketch_shard.disk_index) {
     if (frame == kSketchMetaFrame || frame >= tail_start) continue;
     if (records.count(frame) > 0) continue;
-    auto payload = sketch_shard.segments[loc.first]->ReadPayloadAt(loc.second);
+    auto payload = sketch_shard.ReadDisk(frame, loc);
     if (!payload.ok()) return RebuildSketchesLocked(base_ns);
     records.emplace(frame, std::move(payload).value());
   }
@@ -935,7 +1049,7 @@ Result<DetectionStore::RepairStats> DetectionStore::Repair() {
     std::vector<int64_t> drop;
     for (const auto& [frame, loc] : shard.disk_index) {
       ++stats.records_scanned;
-      auto payload = shard.segments[loc.first]->ReadPayloadAt(loc.second);
+      auto payload = shard.ReadDisk(frame, loc);
       if (!payload.ok()) return payload.status();
       if (!PayloadDecodes(payload.value())) drop.push_back(frame);
     }
@@ -1006,8 +1120,7 @@ Result<DetectionStore::CompactionStats> DetectionStore::Compact() {
     auto writer = StoreWriter::Create(tmp_path, ns);
     if (!writer.ok()) return writer.status();
     for (int64_t frame : frames) {
-      const auto& [segment_index, offset] = shard.disk_index.at(frame);
-      auto payload = shard.segments[segment_index]->ReadPayloadAt(offset);
+      auto payload = shard.ReadDisk(frame, shard.disk_index.at(frame));
       if (!payload.ok()) return payload.status();
       BLAZEIT_RETURN_NOT_OK(writer.value()->Append(frame, payload.value()));
     }
@@ -1040,8 +1153,8 @@ Result<DetectionStore::CompactionStats> DetectionStore::Compact() {
     shard.segments.clear();
     shard.disk_index.clear();
     shard.shadowed = 0;
-    for (const auto& [frame, offset] : writer.value()->record_offsets()) {
-      shard.disk_index.emplace(frame, std::make_pair(size_t{0}, offset));
+    for (const auto& [frame, extent] : writer.value()->record_extents()) {
+      shard.disk_index.emplace(frame, DiskLoc(0, extent));
     }
     shard.segments.push_back(std::move(reader).value());
 
@@ -1063,8 +1176,9 @@ std::vector<uint64_t> DetectionStore::Namespaces() const {
 
 namespace {
 
+template <typename DiskIndex>
 int64_t ResolvedRecordCount(
-    const std::unordered_map<int64_t, std::pair<size_t, uint64_t>>& disk_index,
+    const DiskIndex& disk_index,
     const std::map<int64_t, std::string>& pending) {
   int64_t total = static_cast<int64_t>(disk_index.size());
   for (const auto& [frame, _] : pending) {

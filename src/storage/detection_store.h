@@ -1,12 +1,15 @@
 #ifndef BLAZEIT_STORAGE_DETECTION_STORE_H_
 #define BLAZEIT_STORAGE_DETECTION_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +19,14 @@
 #include "util/status.h"
 
 namespace blazeit {
+
+/// Where one record sits in its segment file: the offset of its header
+/// and its encoded size (header + payload + CRC footer), so reading it is
+/// one positional read of exactly its bytes.
+struct RecordExtent {
+  uint64_t offset = 0;
+  uint32_t bytes = 0;
+};
 
 /// Writes one segment file: header first, then appended records, buffered
 /// through the underlying ofstream. The store writes segments to a
@@ -32,10 +43,11 @@ class StoreWriter {
 
   const std::string& path() const { return path_; }
   int64_t records_written() const { return records_written_; }
-  /// (frame, file offset) of every appended record, in append order — lets
-  /// the store index a freshly written segment without re-reading it.
-  const std::vector<std::pair<int64_t, uint64_t>>& record_offsets() const {
-    return record_offsets_;
+  /// (frame, extent) of every appended record, in append order — lets the
+  /// store index a freshly written segment without re-reading it.
+  const std::vector<std::pair<int64_t, RecordExtent>>& record_extents()
+      const {
+    return record_extents_;
   }
 
  private:
@@ -47,13 +59,20 @@ class StoreWriter {
   std::string scratch_;
   int64_t records_written_ = 0;
   uint64_t bytes_written_ = 0;
-  std::vector<std::pair<int64_t, uint64_t>> record_offsets_;
+  std::vector<std::pair<int64_t, RecordExtent>> record_extents_;
 };
 
 /// Reads one segment file. Open() validates the header and CRC-scans every
 /// record (a corrupt, truncated, stale, or foreign file is rejected with a
-/// descriptive Status), building the frame -> offset index that backs
+/// descriptive Status), building the frame -> extent index that backs
 /// random access.
+///
+/// Reads are positional (pread) on one lazily opened descriptor: there is
+/// no shared file position, so concurrent readers of one segment need no
+/// lock. The descriptor is not held between Open and the first read —
+/// stores accumulate segments without bound, and one fd per segment
+/// forever would hit EMFILE on long-lived stores — and once opened it
+/// stays open, so only actively read segments cost a descriptor.
 class StoreReader {
  public:
   /// `expected_namespace`: when nonzero, a header whose namespace differs
@@ -64,45 +83,50 @@ class StoreReader {
       const std::string& path, uint64_t expected_namespace = 0,
       bool validate_records = true);
 
+  ~StoreReader();
+  StoreReader(const StoreReader&) = delete;
+  StoreReader& operator=(const StoreReader&) = delete;
+
   uint64_t record_namespace() const { return header_.record_namespace; }
   const std::string& path() const { return path_; }
 
-  /// Frames present in this segment and the offset of each record.
-  const std::unordered_map<int64_t, uint64_t>& index() const {
+  /// Frames present in this segment and the extent of each record.
+  const std::unordered_map<int64_t, RecordExtent>& index() const {
     return index_;
   }
 
   /// Moves the index out (the store folds it into its own per-namespace
   /// map; keeping both resident would double index memory).
-  std::unordered_map<int64_t, uint64_t> ReleaseIndex() {
+  std::unordered_map<int64_t, RecordExtent> ReleaseIndex() {
     return std::move(index_);
   }
 
-  /// Reads and re-verifies the record at `offset` (as returned in index()).
-  /// Thread-safe: the shared file handle (seek + read is a stateful pair)
-  /// is mutex-guarded, so concurrent readers of one segment serialize on
-  /// the I/O while the store's surrounding index lookups stay shared.
-  Result<std::string> ReadPayloadAt(uint64_t offset) BLAZEIT_EXCLUDES(io_mu_);
+  /// Reads up to `bytes` bytes at `offset` with one positional read; the
+  /// result is shorter only where the file ends. Thread-safe.
+  Result<std::string> ReadAt(uint64_t offset, size_t bytes) const;
+
+  /// Reads and re-verifies the record of `frame` at `extent` (as returned
+  /// in index()): complete, CRC-valid, and holding that frame.
+  /// Thread-safe.
+  Result<std::string> ReadPayloadAt(int64_t frame,
+                                    RecordExtent extent) const;
 
  private:
-  StoreReader(std::string path, std::ifstream in)
-      : path_(std::move(path)), in_(std::move(in)) {}
+  explicit StoreReader(std::string path) : path_(std::move(path)) {}
 
-  /// Construction-time only (called by Open under io_mu_, before the
-  /// reader is shared).
-  Status ScanAndIndex() BLAZEIT_REQUIRES(io_mu_);
+  /// The read descriptor, opened on first use. Racing first readers each
+  /// open one; the loser of the publishing compare-exchange closes its
+  /// own, so exactly one stays.
+  Result<int> Fd() const;
+
+  /// Construction-time only: CRC-scans `body` (the file past its header)
+  /// and fills index_.
+  Status ScanAndIndex(const std::string& body);
 
   std::string path_;
-  /// Guards in_: ReadPayloadAt's reopen/seek/read sequence must be atomic
-  /// per segment under concurrent GetRaw calls.
-  util::Mutex io_mu_;
-  /// Closed after ScanAndIndex (stores accumulate segments without bound,
-  /// and holding one fd per segment forever would hit EMFILE on long-lived
-  /// stores); ReadPayloadAt reopens on first use and then keeps it open,
-  /// so only actively-read segments cost a descriptor.
-  std::ifstream in_ BLAZEIT_GUARDED_BY(io_mu_);
+  mutable std::atomic<int> fd_{-1};
   SegmentHeader header_;
-  std::unordered_map<int64_t, uint64_t> index_;
+  std::unordered_map<int64_t, RecordExtent> index_;
 };
 
 /// Disk-resident cache of expensive per-frame artifacts, replacing the
@@ -126,10 +150,11 @@ class StoreReader {
 /// simulated runtimes (asserted end-to-end by store_invariance_test).
 ///
 /// Thread-safety (the exec-pool lock audit): index lookups take a shared
-/// lock (Contains / GetRaw / Scan / RecordCount — the read-mostly hot
-/// path of parallel frame scans), mutations take it exclusively (PutRaw /
-/// Flush / Compact), and the per-segment file handle behind a read is
-/// guarded inside StoreReader. Callers need no external locking.
+/// lock (Contains / GetRaw / GetRawRange / Scan / RecordCount — the
+/// read-mostly hot path of parallel frame scans), mutations take it
+/// exclusively (PutRaw / Flush / Compact), and segment reads are
+/// positional, so no per-segment lock exists. Callers need no external
+/// locking.
 class DetectionStore {
  public:
   /// Opens (creating the directory if needed) and indexes every segment.
@@ -148,6 +173,22 @@ class DetectionStore {
   Result<std::string> GetRaw(uint64_t ns, int64_t frame);
   Status PutRaw(uint64_t ns, int64_t frame, std::string payload);
 
+  /// Called once per index of a ranged read: `status` is OK with the
+  /// record's payload, NotFound for an absent record, or the read or
+  /// verification error of a bad one. `payload` is only valid during the
+  /// call.
+  using RecordFn = std::function<void(size_t index, const Status& status,
+                                      std::string_view payload)>;
+
+  /// Ranged raw read: resolves every frame of `frames` under one shared
+  /// lock — pending records first, then the disk index, as GetRaw does —
+  /// and reads the disk hits sorted by (segment, offset), one positional
+  /// read per run of adjacent records. Every disk record is CRC- and
+  /// frame-checked as GetRaw's are. `fn` runs under the shared lock, so
+  /// it must not call back into the store.
+  void GetRawRange(uint64_t ns, std::span<const int64_t> frames,
+                   const RecordFn& fn);
+
   /// Typed wrappers for the two payload codecs.
   Result<std::vector<Detection>> GetDetections(uint64_t ns, int64_t frame);
   Status PutDetections(uint64_t ns, int64_t frame,
@@ -155,9 +196,6 @@ class DetectionStore {
   Result<std::vector<float>> GetFloats(uint64_t ns, int64_t frame);
   Status PutFloats(uint64_t ns, int64_t frame,
                    const std::vector<float>& values);
-  Result<std::vector<double>> GetDoubles(uint64_t ns, int64_t frame);
-  Status PutDoubles(uint64_t ns, int64_t frame,
-                    const std::vector<double>& values);
 
   /// Streams every record of a namespace in ascending frame order.
   Status Scan(uint64_t ns,
@@ -289,13 +327,29 @@ class DetectionStore {
   int64_t ShadowedRecords() const;
 
  private:
+  /// A resolved on-disk record: its segment (an index into
+  /// Shard::segments) and its extent there, packed into the 16 bytes a
+  /// (segment, offset) pair takes.
+  struct DiskLoc {
+    uint64_t offset = 0;
+    uint32_t bytes = 0;
+    uint32_t segment = 0;
+
+    DiskLoc() = default;
+    DiskLoc(size_t segment_index, RecordExtent extent)
+        : offset(extent.offset),
+          bytes(extent.bytes),
+          segment(static_cast<uint32_t>(segment_index)) {}
+    RecordExtent extent() const { return {offset, bytes}; }
+  };
+
   struct Shard {
     /// One reader per on-disk segment of this namespace.
     std::vector<std::unique_ptr<StoreReader>> segments;
-    /// frame -> (segment index, offset); the first segment in sorted name
-    /// order wins on duplicates (matching PutRaw's first-write-wins), so
-    /// duplicate frames resolve identically across opens and processes.
-    std::unordered_map<int64_t, std::pair<size_t, uint64_t>> disk_index;
+    /// frame -> location; the first segment in sorted name order wins on
+    /// duplicates (matching PutRaw's first-write-wins), so duplicate
+    /// frames resolve identically across opens and processes.
+    std::unordered_map<int64_t, DiskLoc> disk_index;
     /// Records accepted by Put but not yet flushed (frame-ordered so
     /// segments are written sorted).
     std::map<int64_t, std::string> pending;
@@ -312,6 +366,11 @@ class DetectionStore {
     /// the removal — an untracked strand could otherwise outlive a later
     /// Compact and, sorting first, resurrect stale records on reopen.
     std::vector<std::string> stranded;
+
+    /// Reads and verifies the on-disk record of `frame` at `loc`.
+    Result<std::string> ReadDisk(int64_t frame, const DiskLoc& loc) const {
+      return segments[loc.segment]->ReadPayloadAt(frame, loc.extent());
+    }
   };
 
   explicit DetectionStore(std::string dir) : dir_(std::move(dir)) {}

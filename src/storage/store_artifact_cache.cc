@@ -1,8 +1,12 @@
 #include "storage/store_artifact_cache.h"
 
+#include <cstring>
+#include <string_view>
+
 #include "obs/metrics.h"
 #include "storage/record_format.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace blazeit {
 
@@ -42,26 +46,53 @@ bool StoreArtifactCache::ConsumeCorrupt(uint64_t salted_ns, int64_t frame) {
   return corrupt_.erase({salted_ns, frame}) > 0;
 }
 
-bool StoreArtifactCache::GetFrameFloats(uint64_t ns, int64_t frame,
-                                        std::vector<float>* out) {
+template <typename T>
+std::vector<size_t> StoreArtifactCache::GetRows(
+    uint64_t ns, std::span<const int64_t> frames, size_t width,
+    std::span<T> out) {
   const uint64_t salted = Salted(ns);
-  auto values = store_->GetFloats(salted, frame);
-  if (!values.ok()) {
-    if (values.status().code() != StatusCode::kNotFound) {
-      // Corrupt record behind a valid CRC: remember it so the caller's
-      // recompute-and-Put repairs it in place instead of silently losing
-      // to first-write-wins (and re-warning every run).
-      WarnOnce("artifact cache read failed, recomputing", values.status());
-      MarkCorrupt(salted, frame);
-    }
-    ++misses_;
-    TierMisses()->Add();
-    return false;
+  const size_t row_bytes = width * sizeof(T);
+  std::vector<bool> hit(frames.size(), false);
+  std::vector<std::pair<size_t, Status>> bad;
+  store_->GetRawRange(
+      salted, frames,
+      [&](size_t i, const Status& status, std::string_view payload) {
+        if (status.ok() && payload.size() == row_bytes) {
+          std::memcpy(out.data() + i * width, payload.data(), row_bytes);
+          hit[i] = true;
+        } else if (status.ok()) {
+          bad.emplace_back(
+              i, Status::ParseError(StrFormat(
+                     "payload of %zu bytes, expected a row of %zu",
+                     payload.size(), row_bytes)));
+        } else if (status.code() != StatusCode::kNotFound) {
+          bad.emplace_back(i, status);
+        }
+      });
+  // Outside the store's lock: a corrupt record behind a valid index is
+  // remembered so the caller's recompute-and-Put repairs it in place
+  // instead of silently losing to first-write-wins (and re-warning every
+  // run).
+  for (const auto& [i, status] : bad) {
+    WarnOnce("artifact cache read failed, recomputing", status);
+    MarkCorrupt(salted, frames[i]);
   }
-  ++hits_;
-  TierHits()->Add();
-  *out = std::move(values).value();
-  return true;
+  std::vector<size_t> miss;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    if (!hit[i]) miss.push_back(i);
+  }
+  const int64_t hits = static_cast<int64_t>(frames.size() - miss.size());
+  hits_ += hits;
+  misses_ += static_cast<int64_t>(miss.size());
+  TierHits()->Add(hits);
+  TierMisses()->Add(static_cast<int64_t>(miss.size()));
+  return miss;
+}
+
+std::vector<size_t> StoreArtifactCache::GetFrameFloatRows(
+    uint64_t ns, std::span<const int64_t> frames, size_t width,
+    std::span<float> out) {
+  return GetRows(ns, frames, width, out);
 }
 
 void StoreArtifactCache::RepairOrPut(uint64_t salted_ns, int64_t frame,
@@ -89,14 +120,24 @@ void StoreArtifactCache::PutFrameFloats(uint64_t ns, int64_t frame,
   RepairOrPut(Salted(ns), frame, EncodeFloatsPayload(values), "floats");
 }
 
-bool StoreArtifactCache::GetFrameDoubles(uint64_t ns, int64_t frame,
-                                         std::vector<double>* out) {
+std::vector<size_t> StoreArtifactCache::GetFrameDoubleRows(
+    uint64_t ns, std::span<const int64_t> frames, size_t width,
+    std::span<double> out) {
+  return GetRows(ns, frames, width, out);
+}
+
+void StoreArtifactCache::PutFrameDoubles(uint64_t ns, int64_t frame,
+                                         const std::vector<double>& values) {
+  RepairOrPut(Salted(ns), frame, EncodeDoublesPayload(values), "doubles");
+}
+
+bool StoreArtifactCache::GetBlob(uint64_t ns, std::vector<float>* out) {
   const uint64_t salted = Salted(ns);
-  auto values = store_->GetDoubles(salted, frame);
+  auto values = store_->GetFloats(salted, kBlobFrame);
   if (!values.ok()) {
     if (values.status().code() != StatusCode::kNotFound) {
       WarnOnce("artifact cache read failed, recomputing", values.status());
-      MarkCorrupt(salted, frame);
+      MarkCorrupt(salted, kBlobFrame);
     }
     ++misses_;
     TierMisses()->Add();
@@ -106,15 +147,6 @@ bool StoreArtifactCache::GetFrameDoubles(uint64_t ns, int64_t frame,
   TierHits()->Add();
   *out = std::move(values).value();
   return true;
-}
-
-void StoreArtifactCache::PutFrameDoubles(uint64_t ns, int64_t frame,
-                                         const std::vector<double>& values) {
-  RepairOrPut(Salted(ns), frame, EncodeDoublesPayload(values), "doubles");
-}
-
-bool StoreArtifactCache::GetBlob(uint64_t ns, std::vector<float>* out) {
-  return GetFrameFloats(ns, kBlobFrame, out);
 }
 
 void StoreArtifactCache::PutBlob(uint64_t ns,

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -22,21 +23,26 @@ namespace blazeit {
 /// the hit/miss counters are atomic, and the corrupt-record bookkeeping
 /// is mutex-guarded.
 ///
-/// Self-healing: a record that exists but fails to decode (CRC-valid yet
-/// semantically malformed) is remembered, and the caller's subsequent Put
-/// of the recomputed value is routed through DetectionStore::Repair so
-/// the bad record is replaced in place instead of warning on every run.
+/// Self-healing: a record that exists but cannot be used (a CRC or read
+/// failure, or a payload of the wrong length) is remembered, and the
+/// caller's subsequent Put of the recomputed value is routed through
+/// DetectionStore::Repair so the bad record is replaced in place instead
+/// of warning on every run.
 class StoreArtifactCache : public ArtifactCache {
  public:
   /// Not owned; must outlive this object.
   explicit StoreArtifactCache(DetectionStore* store) : store_(store) {}
 
-  bool GetFrameFloats(uint64_t ns, int64_t frame,
-                      std::vector<float>* out) override;
+  std::vector<size_t> GetFrameFloatRows(uint64_t ns,
+                                        std::span<const int64_t> frames,
+                                        size_t width,
+                                        std::span<float> out) override;
   void PutFrameFloats(uint64_t ns, int64_t frame,
                       const std::vector<float>& values) override;
-  bool GetFrameDoubles(uint64_t ns, int64_t frame,
-                       std::vector<double>* out) override;
+  std::vector<size_t> GetFrameDoubleRows(uint64_t ns,
+                                         std::span<const int64_t> frames,
+                                         size_t width,
+                                         std::span<double> out) override;
   void PutFrameDoubles(uint64_t ns, int64_t frame,
                        const std::vector<double>& values) override;
   bool GetBlob(uint64_t ns, std::vector<float>* out) override;
@@ -51,6 +57,15 @@ class StoreArtifactCache : public ArtifactCache {
 
  private:
   static constexpr int64_t kBlobFrame = -1;
+
+  /// The ranged read of one value type: one DetectionStore::GetRawRange
+  /// call, each hit's payload copied straight into its row of `out`. A
+  /// record that is present but unusable — a read or verification error,
+  /// or a payload that is not exactly `width` values — is a miss that is
+  /// also marked for repair.
+  template <typename T>
+  std::vector<size_t> GetRows(uint64_t ns, std::span<const int64_t> frames,
+                              size_t width, std::span<T> out);
 
   /// Marks (salted ns, frame) as corrupt-on-disk / consumes the mark.
   void MarkCorrupt(uint64_t salted_ns, int64_t frame)

@@ -1,7 +1,10 @@
 #ifndef BLAZEIT_UTIL_ARTIFACT_CACHE_H_
 #define BLAZEIT_UTIL_ARTIFACT_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 namespace blazeit {
@@ -37,22 +40,39 @@ class ArtifactCache {
  public:
   virtual ~ArtifactCache() = default;
 
-  /// Per-frame float records under namespace `ns`. Returns false on miss.
-  virtual bool GetFrameFloats(uint64_t ns, int64_t frame,
-                              std::vector<float>* out) = 0;
+  /// Ranged read of per-frame float rows under namespace `ns`: for each
+  /// i, a stored row of exactly `width` floats for `frames[i]` is copied
+  /// into `out[i * width, (i + 1) * width)`. Returns the indices into
+  /// `frames` that missed, ascending; their rows of `out` (sized
+  /// frames.size() x width by the caller) are left untouched. A stored row
+  /// of any other width is a miss. One call per sweep lets a disk-backed
+  /// cache resolve the whole range under one lock and read it in runs.
+  virtual std::vector<size_t> GetFrameFloatRows(
+      uint64_t ns, std::span<const int64_t> frames, size_t width,
+      std::span<float> out) = 0;
   virtual void PutFrameFloats(uint64_t ns, int64_t frame,
                               const std::vector<float>& values) = 0;
 
-  /// Per-frame double records (filter scores are doubles; storing them as
-  /// floats would round and could flip threshold comparisons).
-  virtual bool GetFrameDoubles(uint64_t ns, int64_t frame,
-                               std::vector<double>* out) = 0;
+  /// Ranged read of per-frame double rows, same contract as
+  /// GetFrameFloatRows (filter scores are doubles; storing them as floats
+  /// would round and could flip threshold comparisons).
+  virtual std::vector<size_t> GetFrameDoubleRows(
+      uint64_t ns, std::span<const int64_t> frames, size_t width,
+      std::span<double> out) = 0;
   virtual void PutFrameDoubles(uint64_t ns, int64_t frame,
                                const std::vector<double>& values) = 0;
 
   /// One blob per namespace (trained weights). Returns false on miss.
   virtual bool GetBlob(uint64_t ns, std::vector<float>* out) = 0;
   virtual void PutBlob(uint64_t ns, const std::vector<float>& values) = 0;
+
+  /// Every index of an n-frame range: the miss list of a ranged read that
+  /// found nothing (or had no cache to ask).
+  static std::vector<size_t> AllMissed(size_t n) {
+    std::vector<size_t> miss(n);
+    std::iota(miss.begin(), miss.end(), size_t{0});
+    return miss;
+  }
 };
 
 }  // namespace blazeit

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "obs/trace.h"
 #include "sim/cost_model.h"
 #include "testing/json_util.h"
+#include "testing/map_cache.h"
 
 namespace blazeit {
 namespace obs {
@@ -230,58 +230,23 @@ TEST(TraceTest, ChromeJsonValidatesAndHasCompleteEvents) {
 // ---------------------------------------------------------------------------
 // CountingCacheView
 
-/// Map-backed ArtifactCache for exercising the hit paths.
-class MapCache final : public ArtifactCache {
- public:
-  bool GetFrameFloats(uint64_t ns, int64_t frame,
-                      std::vector<float>* out) override {
-    auto it = floats_.find({ns, frame});
-    if (it == floats_.end()) return false;
-    *out = it->second;
-    return true;
-  }
-  void PutFrameFloats(uint64_t ns, int64_t frame,
-                      const std::vector<float>& values) override {
-    floats_[{ns, frame}] = values;
-  }
-  bool GetFrameDoubles(uint64_t ns, int64_t frame,
-                       std::vector<double>* out) override {
-    auto it = doubles_.find({ns, frame});
-    if (it == doubles_.end()) return false;
-    *out = it->second;
-    return true;
-  }
-  void PutFrameDoubles(uint64_t ns, int64_t frame,
-                       const std::vector<double>& values) override {
-    doubles_[{ns, frame}] = values;
-  }
-  bool GetBlob(uint64_t ns, std::vector<float>* out) override {
-    auto it = blobs_.find(ns);
-    if (it == blobs_.end()) return false;
-    *out = it->second;
-    return true;
-  }
-  void PutBlob(uint64_t ns, const std::vector<float>& values) override {
-    blobs_[ns] = values;
-  }
-
- private:
-  std::map<std::pair<uint64_t, int64_t>, std::vector<float>> floats_;
-  std::map<std::pair<uint64_t, int64_t>, std::vector<double>> doubles_;
-  std::map<uint64_t, std::vector<float>> blobs_;
-};
+using testutil::MapCache;
 
 TEST(CountingCacheTest, NullUnderlyingCountsMissesAndDropsPuts) {
   CountingCacheView view(nullptr);
-  std::vector<float> floats;
-  std::vector<double> doubles;
-  EXPECT_FALSE(view.GetFrameFloats(1, 0, &floats));
-  EXPECT_FALSE(view.GetFrameDoubles(1, 0, &doubles));
+  const std::vector<int64_t> frame0 = {0};
+  std::vector<float> floats(1);
+  std::vector<double> doubles(1);
+  EXPECT_EQ(view.GetFrameFloatRows(1, frame0, 1, floats),
+            std::vector<size_t>{0});
+  EXPECT_EQ(view.GetFrameDoubleRows(1, frame0, 1, doubles),
+            std::vector<size_t>{0});
   EXPECT_FALSE(view.GetBlob(1, &floats));
   view.PutFrameFloats(1, 0, {1.0f});
   view.PutBlob(1, {1.0f});
   // Still a miss: puts against a null cache go nowhere.
-  EXPECT_FALSE(view.GetFrameFloats(1, 0, &floats));
+  EXPECT_EQ(view.GetFrameFloatRows(1, frame0, 1, floats),
+            std::vector<size_t>{0});
   EXPECT_EQ(view.stats().hits(), 0);
   EXPECT_EQ(view.stats().misses(), 4);
   EXPECT_EQ(view.stats().frame_float_misses, 2);
@@ -293,18 +258,51 @@ TEST(CountingCacheTest, CountsPerKindHitsThroughUnderlyingCache) {
   MapCache cache;
   CountingCacheView view(&cache);
   std::vector<float> floats;
-  std::vector<double> doubles;
+  std::vector<double> doubles(1);
   EXPECT_FALSE(view.GetBlob(7, &floats));  // cold miss
   view.PutBlob(7, {1.0f, 2.0f});
   EXPECT_TRUE(view.GetBlob(7, &floats));
   EXPECT_EQ(floats, (std::vector<float>{1.0f, 2.0f}));
   view.PutFrameDoubles(7, 3, {0.5});
-  EXPECT_TRUE(view.GetFrameDoubles(7, 3, &doubles));
+  EXPECT_TRUE(
+      view.GetFrameDoubleRows(7, std::vector<int64_t>{3}, 1, doubles).empty());
+  EXPECT_EQ(doubles[0], 0.5);
   EXPECT_EQ(view.stats().blob_hits, 1);
   EXPECT_EQ(view.stats().blob_misses, 1);
   EXPECT_EQ(view.stats().frame_double_hits, 1);
   EXPECT_EQ(view.stats().hits(), 2);
   EXPECT_EQ(view.stats().misses(), 1);
+}
+
+TEST(CountingCacheTest, RangeMixingHitsAndMissesCountsEveryFrame) {
+  MapCache cache;
+  CountingCacheView view(&cache);
+  view.PutFrameFloats(5, 1, {1.0f, 1.5f});
+  view.PutFrameFloats(5, 3, {3.0f, 3.5f});
+  view.PutFrameFloats(5, 4, {4.0f});  // wrong width for this range: a miss
+  view.PutFrameDoubles(5, 10, {0.25});
+  view.PutFrameDoubles(5, 12, {0.75});
+
+  const std::vector<int64_t> frames = {0, 1, 2, 3, 4};
+  std::vector<float> rows(frames.size() * 2, -1.0f);
+  EXPECT_EQ(view.GetFrameFloatRows(5, frames, 2, rows),
+            (std::vector<size_t>{0, 2, 4}));
+  // Hit rows are filled; missed rows are left untouched.
+  EXPECT_EQ(rows, (std::vector<float>{-1.0f, -1.0f, 1.0f, 1.5f, -1.0f, -1.0f,
+                                      3.0f, 3.5f, -1.0f, -1.0f}));
+
+  const std::vector<int64_t> score_frames = {10, 11, 12, 13};
+  std::vector<double> scores(score_frames.size(), -1.0);
+  EXPECT_EQ(view.GetFrameDoubleRows(5, score_frames, 1, scores),
+            (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(scores, (std::vector<double>{0.25, -1.0, 0.75, -1.0}));
+
+  EXPECT_EQ(view.stats().frame_float_hits, 2);
+  EXPECT_EQ(view.stats().frame_float_misses, 3);
+  EXPECT_EQ(view.stats().frame_double_hits, 2);
+  EXPECT_EQ(view.stats().frame_double_misses, 2);
+  EXPECT_EQ(view.stats().hits(), 4);
+  EXPECT_EQ(view.stats().misses(), 5);
 }
 
 // ---------------------------------------------------------------------------

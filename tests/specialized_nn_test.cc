@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/map_cache.h"
 #include "testing/test_util.h"
 
 #include <cmath>
@@ -10,6 +11,7 @@
 
 #include "core/labeled_set.h"
 #include "detect/simulated_detector.h"
+#include "obs/metrics.h"
 #include "stats/online_stats.h"
 #include "video/datasets.h"
 #include "video/render_features.h"
@@ -266,6 +268,69 @@ TEST_F(SpecializedNNTest, MinClassesExpandsHead) {
   // Bus counts are mostly 0/1; 1% rule would give ~2 classes, min_classes
   // raises it (capped by max observed + 1).
   EXPECT_GE(nn.value().head_classes(0), 2);
+}
+
+// Cold training is pinned bit for bit: the weight blob of a fixed-seed
+// model with two trunk layers and two heads hashes to the digest its
+// trainer produced while every layer still drew its He init at
+// construction. Deferring those draws until the weight cache has missed
+// must keep both the init order (trunk layers, then heads) and the RNG
+// stream the epoch shuffles continue from.
+TEST_F(SpecializedNNTest, ColdTrainingWeightsMatchGolden) {
+  SpecializedNNConfig cfg = FastConfig();
+  cfg.hidden_dims = {32, 16};
+  cfg.max_train_frames = 1500;
+  cfg.train.seed = 7;
+  testutil::MapCache cache;
+  cfg.cache = &cache;
+  BLAZEIT_ASSERT_OK(SpecializedNN::Train(
+      *video_, {labels_->Counts(kCar), labels_->Counts(kBus)}, cfg));
+  ASSERT_EQ(cache.blobs().size(), 1u);
+  const std::vector<float>& blob = cache.blobs().begin()->second;
+  EXPECT_EQ(blob.size(), 33447u);
+  EXPECT_EQ(Fingerprint().MixRange(blob).value(), 0x4fab05dfcf2dc441ull);
+}
+
+// A cached weight blob yields the cold model exactly: loading it skips
+// training (and the init draws) yet inference is bit-identical.
+TEST_F(SpecializedNNTest, WarmWeightHitMatchesColdModelBitForBit) {
+  SpecializedNNConfig cfg = FastConfig();
+  cfg.max_train_frames = 1500;
+  testutil::MapCache cold_cache;
+  cfg.cache = &cold_cache;
+  auto cold = SpecializedNN::Train(*video_, {labels_->Counts(kCar)}, cfg);
+  BLAZEIT_ASSERT_OK(cold);
+
+  // Only the blob carries over, so the warm model's inference cannot
+  // replay the cold model's cached rows: it runs on the loaded weights.
+  testutil::MapCache weights_only;
+  for (const auto& [ns, blob] : cold_cache.blobs()) {
+    weights_only.PutBlob(ns, blob);
+  }
+  cfg.cache = &weights_only;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  obs::Counter* weight_hits =
+      metrics.GetCounter("nn.weights_cache_hits", obs::Stability::kStable);
+  obs::Counter* train_batches =
+      metrics.GetCounter("nn.train_batches", obs::Stability::kStable);
+  const int64_t hits_before = weight_hits->value();
+  const int64_t batches_before = train_batches->value();
+  auto warm = SpecializedNN::Train(*video_, {labels_->Counts(kCar)}, cfg);
+  BLAZEIT_ASSERT_OK(warm);
+  EXPECT_EQ(weight_hits->value() - hits_before, 1);
+  EXPECT_EQ(train_batches->value() - batches_before, 0);
+  EXPECT_EQ(warm.value().trained_frames(), cold.value().trained_frames());
+
+  std::vector<int64_t> frames(400);
+  std::iota(frames.begin(), frames.end(), 0);
+  EXPECT_EQ(warm.value().ExpectedCountsForFrames(*video_, frames),
+            cold.value().ExpectedCountsForFrames(*video_, frames));
+  EXPECT_EQ(warm.value().QueryConfidencesForFrames(*video_, frames, {1}),
+            cold.value().QueryConfidencesForFrames(*video_, frames, {1}));
+  for (int64_t frame : {0, 7, 123, 399}) {
+    EXPECT_EQ(warm.value().PredictProbs(*video_, frame),
+              cold.value().PredictProbs(*video_, frame));
+  }
 }
 
 }  // namespace

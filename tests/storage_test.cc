@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/simulated_detector.h"
@@ -20,6 +21,7 @@
 #include "storage/store_artifact_cache.h"
 #include "testing/test_util.h"
 #include "util/crc32.h"
+#include "util/string_util.h"
 #include "util/random.h"
 #include "video/datasets.h"
 
@@ -602,7 +604,9 @@ TEST_F(StorageTest, StoreWideRepairDropsUndecodableRecords) {
 
   auto store = DetectionStore::Open(dir_);  // CRC scan passes
   BLAZEIT_ASSERT_OK(store.status());
-  EXPECT_FALSE(store.value()->GetDoubles(kNs, 5).ok());
+  auto garbage = store.value()->GetRaw(kNs, 5);
+  BLAZEIT_ASSERT_OK(garbage.status());
+  EXPECT_FALSE(DecodeDoublesPayload(garbage.value()).ok());
 
   auto stats = store.value()->Repair();
   BLAZEIT_ASSERT_OK(stats.status());
@@ -687,14 +691,17 @@ TEST_F(StorageTest, ArtifactCacheRepairsCorruptRecordInPlace) {
   auto store = DetectionStore::Open(dir_);
   BLAZEIT_ASSERT_OK(store.status());
   StoreArtifactCache cache(store.value().get());
-  std::vector<float> out;
+  const std::vector<int64_t> frame7 = {7};
+  std::vector<float> out(values.size());
   // Read fails (corrupt, not NotFound) and is remembered...
-  EXPECT_FALSE(cache.GetFrameFloats(kNs, 7, &out));
+  EXPECT_EQ(cache.GetFrameFloatRows(kNs, frame7, values.size(), out),
+            std::vector<size_t>{0});
   EXPECT_EQ(cache.misses(), 1);
   // ...so the caller's recompute-and-put repairs the record in place.
   cache.PutFrameFloats(kNs, 7, values);
   EXPECT_EQ(cache.repairs(), 1);
-  EXPECT_TRUE(cache.GetFrameFloats(kNs, 7, &out));
+  EXPECT_TRUE(
+      cache.GetFrameFloatRows(kNs, frame7, values.size(), out).empty());
   EXPECT_EQ(out, values);
 
   auto reopened = DetectionStore::Open(dir_);
@@ -702,6 +709,133 @@ TEST_F(StorageTest, ArtifactCacheRepairsCorruptRecordInPlace) {
   auto healed = reopened.value()->GetFloats(salted, 7);
   BLAZEIT_ASSERT_OK(healed.status());
   EXPECT_EQ(healed.value(), values);
+}
+
+// A ranged read resolves every frame exactly as per-record GetRaw does:
+// the first segment wins a shadowed duplicate, pending records overlay the
+// disk, a record whose CRC broke after open is a miss that the read-through
+// cache then repairs in place, a record cut off at the segment end is a
+// miss that spares the rest of its read, and an absent namespace misses
+// throughout. store.payload_reads counts verified disk records only.
+TEST_F(StorageTest, RangedReadMatchesPerRecordGetRaw) {
+  constexpr uint64_t kNs = 0xAB12;
+  constexpr uint64_t kCutNs = 0xAB13;
+  constexpr uint64_t kAbsentNs = 0xAB14;
+  constexpr size_t kWidth = 2;
+  const uint64_t salted = HashCombine(kNs, kDerivedArtifactEpoch);
+  const uint64_t cut_salted = HashCombine(kCutNs, kDerivedArtifactEpoch);
+  auto row = [](int64_t frame, float sign) {
+    const float f = sign * static_cast<float>(frame);
+    return std::vector<float>{f, f + 0.5f};
+  };
+
+  // Segments are written directly under fixed names, so sorted name order
+  // (and with it the winner of the duplicate frames) is deterministic.
+  fs::create_directories(dir_);
+  auto write_segment = [&](uint64_t ns, const char* tag, int64_t first,
+                           int64_t last, float sign) {
+    const std::string path =
+        (fs::path(dir_) /
+         StrFormat("ns-%016llx-%s.seg", static_cast<unsigned long long>(ns),
+                   tag))
+            .string();
+    auto writer = StoreWriter::Create(path, ns);
+    EXPECT_TRUE(writer.ok());
+    for (int64_t f = first; f <= last; ++f) {
+      EXPECT_TRUE(
+          writer.value()->Append(f, EncodeFloatsPayload(row(f, sign))).ok());
+    }
+    EXPECT_TRUE(writer.value()->Close().ok());
+    return std::make_pair(path, writer.value()->record_extents());
+  };
+  const auto [first_path, first_extents] = write_segment(salted, "1", 0, 5, 1);
+  write_segment(salted, "2", 4, 9, -1);  // frames 4 and 5 are shadowed
+  const auto [cut_path, cut_extents] = write_segment(cut_salted, "1", 0, 4, 1);
+
+  auto store = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(store.status());
+  EXPECT_EQ(store.value()->ShadowedRecords(), 2);
+  // Pending overlay: two new frames, and a re-Put of a disk frame that
+  // first-write-wins ignores.
+  BLAZEIT_ASSERT_OK(store.value()->PutFloats(salted, 10, row(10, 1)));
+  BLAZEIT_ASSERT_OK(store.value()->PutFloats(salted, 11, row(11, 1)));
+  BLAZEIT_ASSERT_OK(store.value()->PutFloats(salted, 2, row(2, -1)));
+
+  // Damage the files under the open store: flip a payload byte of frame
+  // 1's record, and cut the last record of the other namespace short.
+  {
+    ASSERT_EQ(first_extents[1].first, 1);
+    const auto target = static_cast<std::streamoff>(
+        first_extents[1].second.offset + kRecordHeaderBytes + 1);
+    std::fstream f(first_path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(target);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    f.seekp(target);
+    f.write(&byte, 1);
+  }
+  fs::resize_file(cut_path, fs::file_size(cut_path) - 3);
+
+  StoreArtifactCache cache(store.value().get());
+  obs::Counter* payload_reads = obs::MetricsRegistry::Global().GetCounter(
+      "store.payload_reads", obs::Stability::kStable);
+  // Reads `frames` of `ns` through the ranged path and checks rows, misses
+  // and the payload-read count against per-record GetRaw decoding.
+  auto expect_range = [&](uint64_t ns, const std::vector<int64_t>& frames,
+                          int64_t disk_reads) -> std::vector<float> {
+    const uint64_t salted_ns = HashCombine(ns, kDerivedArtifactEpoch);
+    std::vector<float> want(frames.size() * kWidth, -7.0f);
+    std::vector<size_t> want_miss;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      auto raw = store.value()->GetRaw(salted_ns, frames[i]);
+      if (!raw.ok()) {
+        want_miss.push_back(i);
+        continue;
+      }
+      auto values = DecodeFloatsPayload(raw.value());
+      if (!values.ok() || values.value().size() != kWidth) {
+        ADD_FAILURE() << "frame " << frames[i] << " does not decode to a row";
+        continue;
+      }
+      std::copy(values.value().begin(), values.value().end(),
+                want.begin() + static_cast<std::ptrdiff_t>(i * kWidth));
+    }
+    std::vector<float> got(frames.size() * kWidth, -7.0f);
+    const int64_t reads_before = payload_reads->value();
+    EXPECT_EQ(cache.GetFrameFloatRows(ns, frames, kWidth, got), want_miss);
+    EXPECT_EQ(payload_reads->value() - reads_before, disk_reads);
+    EXPECT_EQ(got, want);
+    return got;
+  };
+
+  const std::vector<int64_t> frames = {11, 9, 0, 20, 4, 1, 5,
+                                       2,  10, 3, 7,  6,  8};
+  // Nine disk records verify (0, 2-5 from the first segment, 6-9 from the
+  // second); 10 and 11 are pending, 20 is absent, 1 is corrupt.
+  const std::vector<float> got = expect_range(kNs, frames, 9);
+  EXPECT_EQ(std::vector<float>(got.begin() + 4 * kWidth,
+                               got.begin() + 5 * kWidth),
+            row(4, 1));  // the first segment's copy of frame 4
+  EXPECT_EQ(std::vector<float>(got.begin() + 7 * kWidth,
+                               got.begin() + 8 * kWidth),
+            row(2, 1));  // the disk record, not the ignored re-Put
+  EXPECT_EQ(cache.misses(), 2);
+
+  // The corrupt record was remembered: the recompute-and-put repairs it in
+  // place, and the next ranged read hits it.
+  cache.PutFrameFloats(kNs, 1, row(1, 1));
+  EXPECT_EQ(cache.repairs(), 1);
+  std::vector<float> repaired(kWidth);
+  EXPECT_TRUE(cache.GetFrameFloatRows(kNs, std::vector<int64_t>{1}, kWidth,
+                                      repaired)
+                  .empty());
+  EXPECT_EQ(repaired, row(1, 1));
+
+  // The truncated last record misses; the four records before it in the
+  // same run still verify.
+  expect_range(kCutNs, {0, 1, 2, 3, 4}, 4);
+  expect_range(kAbsentNs, {0, 1}, 0);
 }
 
 TEST_F(StorageTest, CompactCarriesRepairGenerationPastStrandedSegments) {

@@ -680,8 +680,8 @@ int RunInspect(const std::string& path) {
   int64_t min_frame = 0, max_frame = 0;
   bool first = true;
   size_t payload_bytes = 0;
-  for (const auto& [frame, offset] : reader.value()->index()) {
-    auto payload = reader.value()->ReadPayloadAt(offset);
+  for (const auto& [frame, extent] : reader.value()->index()) {
+    auto payload = reader.value()->ReadPayloadAt(frame, extent);
     if (!payload.ok()) return Fail(payload.status());
     payload_bytes += payload.value().size();
     if (first || frame < min_frame) min_frame = frame;
