@@ -12,7 +12,6 @@
 
 #include "bench_common.h"
 #include "core/engine.h"
-#include "core/query_session.h"
 
 int main() {
   using namespace blazeit;

@@ -205,11 +205,12 @@ ctest --test-dir "${ASAN_BUILD}" --output-on-failure -L fast -j "${JOBS}"
 echo "==> asan+ubsan lane clean"
 
 # Gating ThreadSanitizer lane: rebuild every fast suite (exec runtime,
-# storage locking, serving, obs, net — plus the batch layer's
-# determinism suite, whose shared-plan groups run concurrently against
-# one SharedSweepCache) with -fsanitize=thread and run them. Races found
-# here fail the build.
-echo "==> tsan lane (gating): fast suites + batch_determinism_test"
+# storage locking, serving, obs, net — plus the batch and serving
+# determinism suites, whose shared-plan groups run concurrently against
+# one SharedSweepCache, and whose per-query cache views carry every
+# batched or served query's cache traffic) with -fsanitize=thread and run
+# them. Races found here fail the build.
+echo "==> tsan lane (gating): fast suites + batch/serve determinism suites"
 TSAN_BUILD="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_BUILD}" -S . -DBLAZEIT_TSAN=ON \
   -DBLAZEIT_BUILD_BENCHES=OFF -DBLAZEIT_BUILD_EXAMPLES=OFF \
@@ -217,7 +218,7 @@ cmake -B "${TSAN_BUILD}" -S . -DBLAZEIT_TSAN=ON \
 cmake --build "${TSAN_BUILD}" -j "${JOBS}" > /dev/null
 ctest --test-dir "${TSAN_BUILD}" --output-on-failure -L fast -j "${JOBS}"
 ctest --test-dir "${TSAN_BUILD}" --output-on-failure \
-  -R '^batch_determinism_test$' -j "${JOBS}"
+  -R '^(batch_determinism_test|serve_determinism_test)$' -j "${JOBS}"
 echo "==> tsan lane clean"
 
 # Opportunistic clang lanes. This tree annotates every mutex-bearing

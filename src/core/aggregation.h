@@ -65,10 +65,11 @@ struct AggregateResult {
 class AggregationExecutor {
  public:
   /// `stream` must outlive the executor. `sweep_cache` overrides the
-  /// stream's artifact cache (ExecuteBatch hands the batch's
-  /// SweepCacheView in here so concurrent queries share NN sweeps);
-  /// nullptr keeps the stream's persistent cache. `trace` (nullable)
-  /// receives train/sweep/estimate stage spans.
+  /// stream's artifact cache (the engine hands each query's
+  /// SweepCacheView in here, so batched queries share NN sweeps and every
+  /// query's cache traffic is counted); nullptr keeps the stream's
+  /// persistent cache. `trace` (nullable) receives train/sweep/estimate
+  /// stage spans.
   AggregationExecutor(StreamData* stream, AggregateOptions options = {},
                       ArtifactCache* sweep_cache = nullptr,
                       obs::QueryTrace* trace = nullptr);

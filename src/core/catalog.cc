@@ -48,17 +48,14 @@ Status VideoCatalog::AddStream(const StreamConfig& config, DayLengths lengths,
   data->test_day = std::move(test).value();
 
   data->detector_impl = std::make_unique<SimulatedDetector>(detector_noise);
+  auto detector = std::make_unique<PersistentCachedDetector>(
+      data->detector_impl.get(), store_.get());
   if (store_ != nullptr) {
-    auto persistent = std::make_unique<PersistentCachedDetector>(
-        data->detector_impl.get(), store_.get());
     data->detection_store = store_.get();
-    data->test_detections_ns = persistent->StreamNamespace(*data->test_day);
-    data->detector = std::move(persistent);
+    data->test_detections_ns = detector->StreamNamespace(*data->test_day);
     data->artifact_cache = artifact_cache_.get();
-  } else {
-    data->detector = std::make_unique<CachedDetector>(
-        data->detector_impl.get());
   }
+  data->detector = std::move(detector);
 
   data->train_labels = std::make_unique<LabeledSet>(
       data->train_day.get(), data->detector.get(), config.detection_threshold);

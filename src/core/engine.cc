@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <optional>
 #include <unordered_map>
 
 #include "core/scheduler.h"
@@ -13,7 +12,6 @@
 #include "filters/label_filter.h"
 #include "frameql/parser.h"
 #include "net/http.h"
-#include "obs/counting_cache.h"
 #include "obs/debug_server.h"
 #include "obs/flight_recorder.h"
 #include "storage/segment_sketch.h"
@@ -163,12 +161,12 @@ Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
     trace = std::make_shared<obs::QueryTrace>(frameql);
   }
   Result<PreparedQuery> prepared = Prepare(frameql, trace.get());
-  Result<QueryOutput> result =
-      prepared.ok()
-          ? ExecutePrepared(prepared.value().stream, prepared.value().query,
-                            /*sweep_cache=*/nullptr, frameql, trace,
-                            prepared.value().correlation_id)
-          : Result<QueryOutput>(prepared.status());
+  Result<QueryOutput> result = [&]() -> Result<QueryOutput> {
+    BLAZEIT_RETURN_NOT_OK(prepared.status());
+    SweepCacheView cache(/*shared=*/nullptr,
+                         prepared.value().stream->artifact_cache);
+    return ExecutePrepared(prepared.value(), &cache, frameql, trace);
+  }();
 
   // Flight-record the completed query (observe-only; outputs unchanged).
   obs::FlightRecord record;
@@ -196,22 +194,15 @@ Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
 }
 
 Result<QueryOutput> BlazeItEngine::ExecutePrepared(
-    StreamData* stream, const AnalyzedQuery& query,
-    ArtifactCache* sweep_cache, const std::string& frameql,
-    std::shared_ptr<obs::QueryTrace> trace, int64_t correlation_id) {
+    const PreparedQuery& prepared, SweepCacheView* cache,
+    const std::string& frameql, std::shared_ptr<obs::QueryTrace> trace) {
+  StreamData* stream = prepared.stream;
+  const AnalyzedQuery& query = prepared.query;
   std::shared_ptr<obs::ExecutionReport> report;
-  std::optional<obs::CountingCacheView> counting;
   if (options_.collect_reports) {
     report = std::make_shared<obs::ExecutionReport>();
     report->query = frameql;
     if (trace == nullptr) trace = std::make_shared<obs::QueryTrace>(frameql);
-    // Count the query's artifact-cache traffic by wrapping whatever cache
-    // the executors would have used (possibly none). Output-neutral: a
-    // cache hit is bit-identical to recomputation and the wrapper only
-    // observes, so results and simulated costs are unchanged.
-    counting.emplace(sweep_cache != nullptr ? sweep_cache
-                                            : stream->artifact_cache);
-    sweep_cache = &*counting;
   }
 
   PlanChoice plan;
@@ -219,7 +210,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
     obs::TraceSpan span(trace.get(), "optimize");
     plan = ChoosePlan(query, stream);
   }
-  BLAZEIT_LOG(kDebug).Field("cid", correlation_id)
+  BLAZEIT_LOG(kDebug).Field("cid", prepared.correlation_id)
       << "plan: " << PlanKindName(plan.kind) << " — " << plan.rationale;
 
   QueryOutput out;
@@ -238,7 +229,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
             FrameWindow window,
             ResolveFrameWindow(query, stream->config.fps,
                                stream->test_day->num_frames()));
-        AggregationExecutor executor(stream, options_.aggregate, sweep_cache,
+        AggregationExecutor executor(stream, options_.aggregate, cache,
                                      trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(
             AggregateResult agg,
@@ -263,7 +254,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
                                stream->test_day->num_frames()));
         ScrubOptions scrub_options = options_.scrub;
         scrub_options.use_store_index |= options_.use_store_index;
-        ScrubbingExecutor executor(stream, scrub_options, sweep_cache,
+        ScrubbingExecutor executor(stream, scrub_options, cache,
                                    trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(
             ScrubResult scrub,
@@ -280,8 +271,8 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
         return out;
       }
       case QueryKind::kSelection: {
-        SelectionExecutor executor(stream, &udfs_, options_.selection,
-                                   sweep_cache, trace.get());
+        SelectionExecutor executor(stream, &udfs_, options_.selection, cache,
+                                   trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(SelectionResult sel, executor.Run(query));
         out.rows = std::move(sel.rows);
         for (const SelectionEvent& event : sel.events) {
@@ -292,7 +283,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
         return out;
       }
       case QueryKind::kBinarySelect:
-        return ExecuteBinarySelect(stream, query, sweep_cache, trace.get());
+        return ExecuteBinarySelect(stream, query, cache, trace.get());
       case QueryKind::kExhaustive:
         return ExecuteFullScan(stream, query, trace.get(), report.get());
     }
@@ -305,7 +296,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
     report->plan = PlanKindName(result.plan);
     report->plan_description = result.plan_description;
     report->FillCost(result.cost);
-    report->cache = counting->stats();
+    report->cache = cache->stats();
     report->trace = trace;
     result.report = std::move(report);
   }
@@ -381,7 +372,7 @@ Result<QueryOutput> BlazeItEngine::ExecuteCountDistinct(
 
 Result<QueryOutput> BlazeItEngine::ExecuteBinarySelect(
     StreamData* stream, const AnalyzedQuery& query,
-    ArtifactCache* sweep_cache, obs::QueryTrace* trace) {
+    ArtifactCache* cache, obs::QueryTrace* trace) {
   // NoScope replication: a specialized NN filters frames; the detector
   // verifies everything the NN lets through, so false positives are
   // eliminated and the false-negative rate is controlled by calibrating
@@ -418,8 +409,7 @@ Result<QueryOutput> BlazeItEngine::ExecuteBinarySelect(
 
   SpecializedNNConfig nn_config = options_.selection.nn;
   nn_config.train.seed = HashCombine(options_.selection.seed, 0xb1de);
-  nn_config.cache =
-      sweep_cache != nullptr ? sweep_cache : stream->artifact_cache;
+  nn_config.cache = cache;
   Result<SpecializedNN> trained = [&] {
     obs::TraceSpan span(trace, "train", &out.cost);
     return SpecializedNN::Train(*stream->train_day, {train_counts},
@@ -535,15 +525,6 @@ Result<QueryOutput> BlazeItEngine::ExecuteFullScan(
 
 Result<BatchOutput> BlazeItEngine::ExecuteBatch(
     const std::vector<std::string>& queries) {
-  SharedSweepCache local_sweeps;
-  return ExecuteBatch(queries, &local_sweeps);
-}
-
-Result<BatchOutput> BlazeItEngine::ExecuteBatch(
-    const std::vector<std::string>& queries, SharedSweepCache* sweeps) {
-  if (sweeps == nullptr) {
-    return Status::InvalidArgument("ExecuteBatch needs a sweep cache");
-  }
   const size_t n = queries.size();
   BatchOutput out;
   out.results.assign(
@@ -580,10 +561,11 @@ Result<BatchOutput> BlazeItEngine::ExecuteBatch(
     slots.push_back(i);
   }
 
-  // --- grouping + shared-sweep execution live in QueryScheduler ---
+  // --- grouping + shared-sweep execution live in QueryScheduler, whose
+  // sweeps live exactly as long as this batch ---
   QueryScheduler scheduler(this);
-  ScheduleOutcome run = scheduler.Run(scheduled, sweeps,
-                                      exec::ThreadPool::Budget::kAnalytics);
+  ScheduleOutcome run =
+      scheduler.Run(scheduled, exec::ThreadPool::Budget::kAnalytics);
   out.groups = run.groups;
   for (size_t j = 0; j < scheduled.size(); ++j) {
     out.stats[slots[j]] = run.stats[j];

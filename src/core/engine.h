@@ -17,8 +17,8 @@
 
 namespace blazeit {
 
-class SharedSweepCache;  // core/shared_sweep.h
-class QueryScheduler;    // core/scheduler.h
+class QueryScheduler;  // core/scheduler.h
+class SweepCacheView;  // core/shared_sweep.h
 
 /// Per-query execution options forwarded to the executors.
 struct EngineOptions {
@@ -37,8 +37,8 @@ struct EngineOptions {
   /// Attach an obs::ExecutionReport (plan, stage trace, simulated-cost
   /// breakdown, cache/sketch hit rates) to every QueryOutput. Reporting
   /// only observes: query outputs and simulated costs are bit-identical
-  /// with it on or off. Off by default — the per-frame cache-counting
-  /// wrapper and span bookkeeping cost a little wall-clock.
+  /// with it on or off. Off by default — the span bookkeeping costs a
+  /// little wall-clock.
   bool collect_reports = false;
   /// Register "engine" and "storage" sections with the process-wide
   /// obs::StatusRegistry (rendered by the debug server's /statusz) for
@@ -149,7 +149,7 @@ class BlazeItEngine {
   /// × queried classes — see SharedSweepGroupKey), and executes the
   /// groups concurrently on the exec pool while queries inside a group
   /// run serially so one NN training run and one per-frame sweep feed the
-  /// whole group through a SharedSweepCache.
+  /// whole group through one SharedSweepCache, fresh per call.
   ///
   /// Determinism contract: results[i] — answer, frames, rows, and the
   /// simulated CostMeter — is bit-identical to Execute(queries[i]) at any
@@ -157,12 +157,6 @@ class BlazeItEngine {
   /// batch-level savings show up in BatchOutput's stats, not in the
   /// per-query meters, which keep standalone accounting.
   Result<BatchOutput> ExecuteBatch(const std::vector<std::string>& queries);
-
-  /// As above, but sharing sweeps through a caller-owned cache so they
-  /// stay warm across batches — what QuerySession uses. `sweeps` must
-  /// outlive the call and must not be shared across catalogs.
-  Result<BatchOutput> ExecuteBatch(const std::vector<std::string>& queries,
-                                   SharedSweepCache* sweeps);
 
   /// Parses, binds, and analyzes one query without executing it. `trace`
   /// (nullable) records the parse/analyze spans. Thread-safe: the catalog
@@ -184,17 +178,16 @@ class BlazeItEngine {
   /// caller goes through Execute/ExecuteBatch.
   friend class QueryScheduler;
 
-  /// Plan choice + dispatch. `sweep_cache` overrides the stream's
-  /// artifact cache for the executors (nullptr = standalone execution);
+  /// Plan choice + dispatch. `cache` is the query's own view onto the
+  /// artifact tiers (the scheduler's shared sweeps, when batched, over the
+  /// stream's persistent cache) and counts its traffic for the report;
   /// `frameql` and `trace` feed the ExecutionReport when
-  /// options_.collect_reports is on (trace is null otherwise);
-  /// `correlation_id` tags the plan-choice log line (cid=N).
-  Result<QueryOutput> ExecutePrepared(StreamData* stream,
-                                      const AnalyzedQuery& query,
-                                      ArtifactCache* sweep_cache,
+  /// options_.collect_reports is on (trace is null otherwise). The
+  /// prepared query's correlation id tags the plan-choice log line (cid=N).
+  Result<QueryOutput> ExecutePrepared(const PreparedQuery& prepared,
+                                      SweepCacheView* cache,
                                       const std::string& frameql,
-                                      std::shared_ptr<obs::QueryTrace> trace,
-                                      int64_t correlation_id);
+                                      std::shared_ptr<obs::QueryTrace> trace);
 
   Result<QueryOutput> ExecuteCountDistinct(StreamData* stream,
                                            const AnalyzedQuery& query,
@@ -202,7 +195,7 @@ class BlazeItEngine {
                                            obs::ExecutionReport* report);
   Result<QueryOutput> ExecuteBinarySelect(StreamData* stream,
                                           const AnalyzedQuery& query,
-                                          ArtifactCache* sweep_cache,
+                                          ArtifactCache* cache,
                                           obs::QueryTrace* trace);
   Result<QueryOutput> ExecuteFullScan(StreamData* stream,
                                       const AnalyzedQuery& query,

@@ -43,7 +43,7 @@ PlanChoice ChoosePlan(const AnalyzedQuery& query, StreamData* stream);
 /// same stream (same executor kind and hence train-seed salt, same queried
 /// classes and hence training labels) — so running them serially within
 /// one group lets the first execution's training run and per-frame sweep
-/// feed the rest through the batch's SharedSweepCache, while distinct
+/// feed the rest through the scheduler's SharedSweepCache, while distinct
 /// keys carry no shared NN work and can run concurrently.
 ///
 /// Plans that train nothing (count-distinct, full scans) get a key unique

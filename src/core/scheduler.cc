@@ -3,20 +3,11 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "core/shared_sweep.h"
-
 namespace blazeit {
 
-QueryScheduler::QueryScheduler(BlazeItEngine* engine)
-    : engine_(engine), session_sweeps_(std::make_unique<SharedSweepCache>()) {}
-
-QueryScheduler::~QueryScheduler() = default;
-
 ScheduleOutcome QueryScheduler::Run(const std::vector<ScheduledQuery>& queries,
-                                    SharedSweepCache* sweeps,
                                     exec::ThreadPool::Budget budget,
                                     const ResultCallback& on_result) {
-  if (sweeps == nullptr) sweeps = session_sweeps_.get();
   const size_t n = queries.size();
   ScheduleOutcome out;
   out.results.assign(
@@ -55,24 +46,19 @@ ScheduleOutcome QueryScheduler::Run(const std::vector<ScheduledQuery>& queries,
       [&](int64_t g, int /*slot*/) {
         for (size_t idx : groups[static_cast<size_t>(g)]) {
           const ScheduledQuery& q = queries[idx];
-          SweepCacheView view(sweeps, q.prepared.stream->artifact_cache);
-          Result<QueryOutput> result = engine_->ExecutePrepared(
-              q.prepared.stream, q.prepared.query, &view, q.frameql, q.trace,
-              q.prepared.correlation_id);
+          SweepCacheView view(&sweeps_, q.prepared.stream->artifact_cache);
+          Result<QueryOutput> result =
+              engine_->ExecutePrepared(q.prepared, &view, q.frameql, q.trace);
           // Stats are filled only for successful queries (the documented
           // all-zero contract for failures).
           if (result.ok()) {
             BatchQueryStats& qs = out.stats[idx];
             qs.group = g;
-            qs.shared_nn_frames = view.shared_nn_frames();
-            qs.shared_filter_frames = view.shared_filter_frames();
-            qs.shared_models = view.shared_models();
+            qs.shared_nn_frames = view.stats().shared_nn_frames;
+            qs.shared_filter_frames = view.stats().shared_filter_frames;
+            qs.shared_models = view.stats().shared_models;
             if (result.value().report != nullptr) {
-              obs::ExecutionReport& report = *result.value().report;
-              report.batch_group = g;
-              report.cache.shared_nn_frames = qs.shared_nn_frames;
-              report.cache.shared_filter_frames = qs.shared_filter_frames;
-              report.cache.shared_models = qs.shared_models;
+              result.value().report->batch_group = g;
             }
             const CostMeter& cost = result.value().cost;
             qs.standalone_seconds = cost.TotalSeconds();

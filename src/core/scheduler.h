@@ -8,11 +8,10 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/shared_sweep.h"
 #include "exec/thread_pool.h"
 
 namespace blazeit {
-
-class SharedSweepCache;  // core/shared_sweep.h
 
 /// One unit of schedulable work: a prepared query plus the shared-sweep
 /// group tag the optimizer derived for it (SharedSweepGroupKey). The tag
@@ -44,10 +43,12 @@ struct ScheduleOutcome {
 /// The shared-plan scheduler extracted from BlazeItEngine::ExecuteBatch:
 /// groups prepared queries by their group tag (first-appearance order),
 /// runs the groups concurrently on the exec pool while queries inside a
-/// group run serially, and feeds each group through one SweepCacheView per
-/// query so a single NN training run and per-frame sweep serve the whole
-/// group. ExecuteBatch and the serving layer (serve::AdmissionQueue) are
-/// both thin clients of this class.
+/// group run serially, and feeds each query through its own SweepCacheView
+/// over the scheduler's sweeps so a single NN training run and per-frame
+/// sweep serve the whole group. ExecuteBatch (one scheduler, and so one
+/// fresh set of sweeps, per call) and the serving layer
+/// (serve::AdmissionQueue, one scheduler whose sweeps stay warm across
+/// admission windows) are both thin clients of this class.
 ///
 /// Determinism contract (inherited from ExecuteBatch): results[i] — the
 /// answer, frames, rows, and simulated CostMeter — is bit-identical to a
@@ -65,29 +66,21 @@ class QueryScheduler {
                          const BatchQueryStats& stats)>;
 
   /// `engine` must outlive the scheduler.
-  explicit QueryScheduler(BlazeItEngine* engine);
-  ~QueryScheduler();
+  explicit QueryScheduler(BlazeItEngine* engine) : engine_(engine) {}
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// Executes `queries` under the shared-plan grouping. `sweeps` is the
-  /// cross-query artifact tier (nullptr = the scheduler's own
-  /// session_sweeps(), which stays warm across Run calls); `budget` tags
+  /// Executes `queries` under the shared-plan grouping, sharing the
+  /// scheduler's sweeps (which stay warm across Run calls); `budget` tags
   /// the pool job for the exec layer's sub-pool caps.
   ScheduleOutcome Run(
-      const std::vector<ScheduledQuery>& queries, SharedSweepCache* sweeps,
+      const std::vector<ScheduledQuery>& queries,
       exec::ThreadPool::Budget budget = exec::ThreadPool::Budget::kDefault,
       const ResultCallback& on_result = nullptr);
 
-  /// The scheduler-owned sweep cache used when Run is passed no caller
-  /// cache. Owning it here — rather than in each caller — is what lets
-  /// the serving layer keep sweeps warm across admission windows without
-  /// managing cache lifetime itself.
-  SharedSweepCache* session_sweeps() { return session_sweeps_.get(); }
-
  private:
   BlazeItEngine* engine_;
-  std::unique_ptr<SharedSweepCache> session_sweeps_;
+  SharedSweepCache sweeps_;
 };
 
 }  // namespace blazeit

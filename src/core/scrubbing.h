@@ -83,10 +83,11 @@ struct ScrubResult {
 class ScrubbingExecutor {
  public:
   /// `stream` must outlive the executor. `sweep_cache` overrides the
-  /// stream's artifact cache (ExecuteBatch hands the batch's
-  /// SweepCacheView in here so concurrent queries share NN sweeps);
-  /// nullptr keeps the stream's persistent cache. `trace` (nullable)
-  /// receives train/sweep/verify stage spans.
+  /// stream's artifact cache (the engine hands each query's
+  /// SweepCacheView in here, so batched queries share NN sweeps and every
+  /// query's cache traffic is counted); nullptr keeps the stream's
+  /// persistent cache. `trace` (nullable) receives train/sweep/verify
+  /// stage spans.
   ScrubbingExecutor(StreamData* stream, ScrubOptions options = {},
                     ArtifactCache* sweep_cache = nullptr,
                     obs::QueryTrace* trace = nullptr);

@@ -67,10 +67,11 @@ struct SelectionResult {
 class SelectionExecutor {
  public:
   /// `stream` and `udfs` must outlive the executor. `sweep_cache`
-  /// overrides the stream's artifact cache (ExecuteBatch hands the
-  /// batch's SweepCacheView in here so concurrent queries share NN and
-  /// content-filter sweeps); nullptr keeps the stream's persistent cache.
-  /// `trace` (nullable) receives calibrate/train/cascade/verify spans.
+  /// overrides the stream's artifact cache (the engine hands each query's
+  /// SweepCacheView in here, so batched queries share NN and
+  /// content-filter sweeps and every query's cache traffic is counted);
+  /// nullptr keeps the stream's persistent cache. `trace` (nullable)
+  /// receives calibrate/train/cascade/verify spans.
   SelectionExecutor(StreamData* stream, const UdfRegistry* udfs,
                     SelectionOptions options = {},
                     ArtifactCache* sweep_cache = nullptr,

@@ -24,22 +24,21 @@ obs::Counter* SharedPromotions() {
   return c;
 }
 
+/// The persistent tier's ranged read of one value type; every frame
+/// misses without one.
+template <typename T>
+std::vector<size_t> ReadUnderlying(ArtifactCache* cache, uint64_t ns,
+                                   std::span<const int64_t> frames,
+                                   size_t width, std::span<T> out) {
+  if (cache == nullptr) return ArtifactCache::AllMissed(frames.size());
+  if constexpr (std::is_same_v<T, float>) {
+    return cache->GetFrameFloatRows(ns, frames, width, out);
+  } else {
+    return cache->GetFrameDoubleRows(ns, frames, width, out);
+  }
+}
+
 }  // namespace
-
-int64_t SharedSweepCache::frame_float_records() const {
-  util::MutexLock lock(mu_);
-  return static_cast<int64_t>(floats_.size());
-}
-
-int64_t SharedSweepCache::frame_double_records() const {
-  util::MutexLock lock(mu_);
-  return static_cast<int64_t>(doubles_.size());
-}
-
-int64_t SharedSweepCache::blob_records() const {
-  util::MutexLock lock(mu_);
-  return static_cast<int64_t>(blobs_.size());
-}
 
 template <typename T>
 std::vector<size_t> SharedSweepCache::GetRows(uint64_t ns,
@@ -95,6 +94,25 @@ void SharedSweepCache::PutBlob(uint64_t ns, const std::vector<float>& v) {
 template <typename T>
 std::vector<size_t> SweepCacheView::ReadThrough(
     uint64_t ns, std::span<const int64_t> frames, size_t width,
+    std::span<T> out) {
+  constexpr bool kFloat = std::is_same_v<T, float>;
+  int64_t& hits = kFloat ? stats_.frame_float_hits : stats_.frame_double_hits;
+  int64_t& misses =
+      kFloat ? stats_.frame_float_misses : stats_.frame_double_misses;
+  int64_t& shared_hits =
+      kFloat ? stats_.shared_nn_frames : stats_.shared_filter_frames;
+  std::vector<size_t> miss =
+      shared_ == nullptr
+          ? ReadUnderlying(underlying_, ns, frames, width, out)
+          : ReadShared(ns, frames, width, out, &shared_hits);
+  hits += static_cast<int64_t>(frames.size() - miss.size());
+  misses += static_cast<int64_t>(miss.size());
+  return miss;
+}
+
+template <typename T>
+std::vector<size_t> SweepCacheView::ReadShared(
+    uint64_t ns, std::span<const int64_t> frames, size_t width,
     std::span<T> out, int64_t* shared_hits) {
   std::vector<size_t> miss = shared_->GetRows<T>(ns, frames, width, out);
   const int64_t served = static_cast<int64_t>(frames.size() - miss.size());
@@ -105,12 +123,8 @@ std::vector<size_t> SweepCacheView::ReadThrough(
   std::vector<int64_t> rest(miss.size());
   for (size_t j = 0; j < miss.size(); ++j) rest[j] = frames[miss[j]];
   std::vector<T> rows(rest.size() * width);
-  std::vector<size_t> rest_miss;
-  if constexpr (std::is_same_v<T, float>) {
-    rest_miss = underlying_->GetFrameFloatRows(ns, rest, width, rows);
-  } else {
-    rest_miss = underlying_->GetFrameDoubleRows(ns, rest, width, rows);
-  }
+  const std::vector<size_t> rest_miss =
+      ReadUnderlying<T>(underlying_, ns, rest, width, rows);
 
   // Copy the persistent hits out and promote them, so later queries of
   // the batch hit the memory tier (the persistent value is bit-identical
@@ -137,43 +151,46 @@ std::vector<size_t> SweepCacheView::ReadThrough(
 std::vector<size_t> SweepCacheView::GetFrameFloatRows(
     uint64_t ns, std::span<const int64_t> frames, size_t width,
     std::span<float> out) {
-  return ReadThrough(ns, frames, width, out, &shared_float_hits_);
+  return ReadThrough(ns, frames, width, out);
 }
 
 void SweepCacheView::PutFrameFloats(uint64_t ns, int64_t frame,
                                     const std::vector<float>& values) {
-  shared_->PutRow(ns, frame, values);
+  if (shared_ != nullptr) shared_->PutRow(ns, frame, values);
   if (underlying_ != nullptr) underlying_->PutFrameFloats(ns, frame, values);
 }
 
 std::vector<size_t> SweepCacheView::GetFrameDoubleRows(
     uint64_t ns, std::span<const int64_t> frames, size_t width,
     std::span<double> out) {
-  return ReadThrough(ns, frames, width, out, &shared_double_hits_);
+  return ReadThrough(ns, frames, width, out);
 }
 
 void SweepCacheView::PutFrameDoubles(uint64_t ns, int64_t frame,
                                      const std::vector<double>& values) {
-  shared_->PutRow(ns, frame, values);
+  if (shared_ != nullptr) shared_->PutRow(ns, frame, values);
   if (underlying_ != nullptr) underlying_->PutFrameDoubles(ns, frame, values);
 }
 
 bool SweepCacheView::GetBlob(uint64_t ns, std::vector<float>* out) {
-  if (shared_->GetBlob(ns, out)) {
-    ++shared_blob_hits_;
+  bool hit = false;
+  if (shared_ != nullptr && shared_->GetBlob(ns, out)) {
+    ++stats_.shared_models;
     SharedHits()->Add();
-    return true;
+    hit = true;
+  } else if (underlying_ != nullptr && underlying_->GetBlob(ns, out)) {
+    if (shared_ != nullptr) {
+      shared_->PutBlob(ns, *out);
+      SharedPromotions()->Add();
+    }
+    hit = true;
   }
-  if (underlying_ != nullptr && underlying_->GetBlob(ns, out)) {
-    shared_->PutBlob(ns, *out);
-    SharedPromotions()->Add();
-    return true;
-  }
-  return false;
+  ++(hit ? stats_.blob_hits : stats_.blob_misses);
+  return hit;
 }
 
 void SweepCacheView::PutBlob(uint64_t ns, const std::vector<float>& values) {
-  shared_->PutBlob(ns, values);
+  if (shared_ != nullptr) shared_->PutBlob(ns, values);
   if (underlying_ != nullptr) underlying_->PutBlob(ns, values);
 }
 

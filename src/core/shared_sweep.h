@@ -8,41 +8,38 @@
 #include <utility>
 #include <vector>
 
+#include "obs/report.h"
 #include "util/artifact_cache.h"
 #include "util/mutex.h"
 
 namespace blazeit {
 
 /// The in-memory artifact tier that makes multi-query batching pay: one
-/// SharedSweepCache is shared by every query of an ExecuteBatch call (or
-/// across batches by a QuerySession), so the first query of a shared-plan
-/// group trains the specialized NN and runs the per-frame sweeps, and the
-/// rest of the group reads the identical floats back instead of
-/// recomputing them. Keys are the same content fingerprints the persistent
-/// ArtifactCache uses, so a hit is bit-identical to recomputation and
-/// query outputs/simulated costs never depend on cache state.
+/// SharedSweepCache is shared by every query a QueryScheduler runs (a
+/// fresh one per ExecuteBatch call; one kept warm across admission windows
+/// by the serving layer), so the first query of a shared-plan group trains
+/// the specialized NN and runs the per-frame sweeps, and the rest of the
+/// group reads the identical floats back instead of recomputing them. Keys
+/// are the same content fingerprints the persistent ArtifactCache uses, so
+/// a hit is bit-identical to recomputation and query outputs/simulated
+/// costs never depend on cache state.
 ///
 /// Thread-safe (independent groups run concurrently on the exec pool);
 /// first write wins, which is benign for the same reason the detection
 /// store's rule is: values are deterministic per key, so a racing
 /// duplicate insert carries identical bytes.
 ///
-/// Unbounded by design: the cache is scoped to one batch (ExecuteBatch
-/// creates and drops one) or one QuerySession, and holds full-day sweep
-/// rows for every (stream, NN, class) it has served — a few MB each. A
-/// long-lived serving session over a varied query mix should be recycled
-/// periodically (or gain eviction when the ROADMAP's sharded-serving
-/// layer lands); the persistent store underneath loses nothing.
+/// Unbounded by design: the cache is scoped to one scheduler, and holds
+/// full-day sweep rows for every (stream, NN, class) it has served — a few
+/// MB each. A long-lived serving queue over a varied query mix should be
+/// recycled periodically (or gain eviction when the ROADMAP's
+/// sharded-serving layer lands); the persistent store underneath loses
+/// nothing.
 class SharedSweepCache {
  public:
   SharedSweepCache() = default;
   SharedSweepCache(const SharedSweepCache&) = delete;
   SharedSweepCache& operator=(const SharedSweepCache&) = delete;
-
-  /// Resident record counts (diagnostics; storecli-style reporting).
-  int64_t frame_float_records() const BLAZEIT_EXCLUDES(mu_);
-  int64_t frame_double_records() const BLAZEIT_EXCLUDES(mu_);
-  int64_t blob_records() const BLAZEIT_EXCLUDES(mu_);
 
  private:
   friend class SweepCacheView;
@@ -97,29 +94,35 @@ class SharedSweepCache {
       BLAZEIT_GUARDED_BY(mu_);
 };
 
-/// One query's handle onto the batch's shared sweeps: an ArtifactCache
-/// that reads the shared tier first, then the stream's persistent cache
-/// (when the catalog has one), and promotes persistent hits into the
-/// shared tier so the rest of the batch stays in memory. Writes go to
-/// both tiers, so batching never loses persistence.
+/// One query's artifact cache: every executed query reads and writes
+/// through exactly one view. The view reads the shared tier first (when
+/// it has one), then the stream's persistent cache (when the catalog has
+/// one), and promotes persistent hits into the shared tier so the rest of
+/// the batch stays in memory. Writes go to both tiers, so batching never
+/// loses persistence. Without a shared tier a ranged read goes straight
+/// into the caller's buffer; without either tier every read misses and
+/// every write is dropped, which is exactly cache-less execution.
 ///
-/// The view also counts how much of this query's NN work the *shared*
-/// tier absorbed — the per-query numbers behind BatchQueryStats. A hit
-/// this view takes directly on the persistent tier is not counted (serial
+/// The view counts the query's per-kind hits and misses (any tier) and how
+/// much of its NN work the *shared* tier absorbed — the numbers behind the
+/// ExecutionReport's cache line and BatchQueryStats. A hit this view takes
+/// directly on the persistent tier is not counted as shared (serial
 /// execution would have been served by it too); it is promoted, though,
 /// so a *later* query's consumption of the same row counts as shared.
 /// That keeps the stats independent of store temperature — a follower's
 /// dedup reads the same whether the leader computed the sweep or replayed
 /// it — matching the simulated cost model, which charges NN work
-/// regardless of cache state. The stats therefore measure "charged NN
-/// work served by the batch tier", not physical FLOPs avoided; on a warm
-/// store the physical savings are smaller (wall-clock shows those).
+/// regardless of cache state. The shared counts therefore measure "charged
+/// NN work served by the batch tier", not physical FLOPs avoided; on a
+/// warm store the physical savings are smaller (wall-clock shows those).
+/// Counting only observes: a hit is bit-identical to recomputation.
 ///
 /// Not thread-safe across queries: each executed query gets its own view
 /// (the underlying SharedSweepCache carries the locking).
 class SweepCacheView final : public ArtifactCache {
  public:
-  /// `underlying` may be nullptr (catalog without a detection store).
+  /// Either tier may be nullptr: `shared` for standalone execution,
+  /// `underlying` for a catalog without a detection store.
   SweepCacheView(SharedSweepCache* shared, ArtifactCache* underlying)
       : shared_(shared), underlying_(underlying) {}
 
@@ -138,31 +141,30 @@ class SweepCacheView final : public ArtifactCache {
   bool GetBlob(uint64_t ns, std::vector<float>* out) override;
   void PutBlob(uint64_t ns, const std::vector<float>& values) override;
 
-  /// Per-frame NN output rows this query read from the shared tier
-  /// (specialized-NN inference another query in the batch already paid
-  /// for).
-  int64_t shared_nn_frames() const { return shared_float_hits_; }
-  /// Per-frame filter scores served from the shared tier.
-  int64_t shared_filter_frames() const { return shared_double_hits_; }
-  /// Trained weight blobs served from the shared tier (0 or 1 per query:
-  /// each executor trains at most one specialized NN per run).
-  int64_t shared_models() const { return shared_blob_hits_; }
+  /// This query's traffic so far. shared_nn_frames counts per-frame NN
+  /// output rows the shared tier served (inference another query already
+  /// paid for), shared_filter_frames per-frame filter scores, and
+  /// shared_models trained weight blobs (0 or 1 per query: each executor
+  /// trains at most one specialized NN per run).
+  const obs::CacheStats& stats() const { return stats_; }
 
  private:
-  /// The ranged read of one value type: the shared tier first, the rest
-  /// from the persistent tier, promoting what it returns. `shared_hits`
-  /// counts the rows the shared tier served.
+  /// The ranged read of one value type through both tiers, counted.
   template <typename T>
   std::vector<size_t> ReadThrough(uint64_t ns,
                                   std::span<const int64_t> frames,
-                                  size_t width, std::span<T> out,
-                                  int64_t* shared_hits);
+                                  size_t width, std::span<T> out);
+  /// The shared tier first, the rest from the persistent tier, promoting
+  /// what it returns. `shared_hits` counts the rows the shared tier
+  /// served.
+  template <typename T>
+  std::vector<size_t> ReadShared(uint64_t ns, std::span<const int64_t> frames,
+                                 size_t width, std::span<T> out,
+                                 int64_t* shared_hits);
 
   SharedSweepCache* shared_;
   ArtifactCache* underlying_;
-  int64_t shared_float_hits_ = 0;
-  int64_t shared_double_hits_ = 0;
-  int64_t shared_blob_hits_ = 0;
+  obs::CacheStats stats_;
 };
 
 }  // namespace blazeit

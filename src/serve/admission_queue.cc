@@ -403,13 +403,13 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
     slots.push_back(i);
   }
 
-  // One scheduler run per window, against the scheduler's session sweeps
-  // (warm across windows). The callback streams each response out as its
+  // One scheduler run per window, against the scheduler's sweeps (warm
+  // across windows). The callback streams each response out as its
   // group completes, from whichever pool worker ran it. Wall times are
   // batch-relative (cut to completion), the latency a waiting client saw.
   const auto batch_started = std::chrono::steady_clock::now();
   ScheduleOutcome outcome = scheduler_.Run(
-      scheduled, /*sweeps=*/nullptr, ThreadPool::Budget::kServing,
+      scheduled, ThreadPool::Budget::kServing,
       [&](size_t j, const Result<QueryOutput>& result,
           const BatchQueryStats& stats) {
         ServeResponse resp = shells[slots[j]];

@@ -100,8 +100,8 @@ struct ServerStats {
 /// The multi-tenant serving core: a bounded admission queue in front of
 /// QueryScheduler. Arriving queries are parsed/analyzed at Submit time,
 /// held for the batching window, coalesced *across clients* by
-/// SharedSweepGroupKey, executed as one scheduler run (sweeps stay warm
-/// across windows in the scheduler's session cache), and streamed into
+/// SharedSweepGroupKey, executed as one scheduler run (the scheduler's
+/// sweeps stay warm across windows), and streamed into
 /// the completed set as their group finishes.
 ///
 /// Time is a deterministic virtual clock advanced by Advance(), so tests

@@ -22,17 +22,26 @@ std::vector<Detection> PersistentCachedDetector::Detect(
     auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
   }
+  // Compute outside the map lock: the inner detector is deterministic, so
+  // two racing computations of one frame produce identical vectors and
+  // whichever insert lands first wins harmlessly.
+  std::vector<Detection> dets = store_ != nullptr
+                                    ? ReadThroughStore(video, frame)
+                                    : inner_->Detect(video, frame);
+  util::MutexLock lock(mu_);
+  return cache_.emplace(key, std::move(dets)).first->second;
+}
 
-  // Store read, inner compute, and store write all run outside the map
-  // lock (the store carries its own locking; detections are deterministic
-  // per frame, so a racing double-compute inserts identical content and
-  // PutDetections' first-write-wins absorbs the duplicate).
+std::vector<Detection> PersistentCachedDetector::ReadThroughStore(
+    const SyntheticVideo& video, int64_t frame) const {
+  // The store carries its own locking; a racing double-compute writes
+  // identical content and PutDetections' first-write-wins absorbs the
+  // duplicate.
   const uint64_t ns = StreamNamespace(video);
   auto stored = store_->GetDetections(ns, frame);
   if (stored.ok()) {
     store_hits_.fetch_add(1, std::memory_order_relaxed);
-    util::MutexLock lock(mu_);
-    return cache_.emplace(key, std::move(stored).value()).first->second;
+    return std::move(stored).value();
   }
   // A record that exists but fails to decode means on-disk corruption that
   // slipped past Open (e.g. a CRC-valid but semantically malformed record
@@ -54,8 +63,7 @@ std::vector<Detection> PersistentCachedDetector::Detect(
     BLAZEIT_LOG(kWarning) << "detection store write failed: "
                           << put.ToString();
   }
-  util::MutexLock lock(mu_);
-  return cache_.emplace(key, std::move(dets)).first->second;
+  return dets;
 }
 
 }  // namespace blazeit

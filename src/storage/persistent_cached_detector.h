@@ -7,36 +7,66 @@
 #include <unordered_map>
 #include <vector>
 
-#include "detect/cached_detector.h"
 #include "detect/detector.h"
 #include "storage/detection_store.h"
 #include "util/mutex.h"
 
 namespace blazeit {
 
-/// Read-through/write-through detector cache backed by a DetectionStore:
-/// the persistent version of CachedDetector. A frame is served from the
-/// in-memory map, then from the store, and only then computed by the inner
-/// detector (and written back for the next process). Records are keyed by
-/// (stream-day fingerprint x detector fingerprint, frame) — never by the
-/// raw seed — so days of different streams can share one store safely.
+/// Composite cache key for memoized detections: the full stream-day
+/// fingerprint plus the frame. The pre-fix key hand-mixed (seed, frame)
+/// into one uint64_t, which collides for *any* two days sharing a seed —
+/// and the catalog gives every stream's train day the same seed — so one
+/// shared cache would silently replay stream A's detections for stream B.
+struct DetectionCacheKey {
+  uint64_t stream = 0;  // SyntheticVideo::fingerprint()
+  int64_t frame = 0;
+
+  bool operator==(const DetectionCacheKey& other) const {
+    return stream == other.stream && frame == other.frame;
+  }
+};
+
+struct DetectionCacheKeyHash {
+  size_t operator()(const DetectionCacheKey& key) const {
+    return static_cast<size_t>(
+        HashCombine(key.stream, static_cast<uint64_t>(key.frame)));
+  }
+};
+
+/// Memoizing wrapper around an ObjectDetector. The paper pre-computed all
+/// object detections once and replayed them when evaluating samplers
+/// (Section 10.2: "we ran the object detection method once and recorded
+/// the results"); this wrapper is the equivalent. A frame is served from
+/// the in-memory map, then from the DetectionStore (when there is one),
+/// and only then computed by the inner detector (and written back for the
+/// next process). Records are keyed by (stream-day fingerprint x detector
+/// fingerprint, frame) — never by the raw seed — so days of different
+/// streams can share one store safely.
 ///
-/// As with CachedDetector, executors charge simulated detection cost per
-/// logical call; a warm store changes wall-clock only.
+/// Executors charge simulated detection cost per logical call, so the
+/// memory map and a warm store change wall-clock only, never the reported
+/// runtimes.
 ///
-/// Thread-safe like CachedDetector: the memory map is mutex-guarded, the
-/// hit/miss counters are atomic, and the store's own locks cover the disk
-/// path, so parallel frame scans may call Detect concurrently.
+/// Thread-safe: parallel frame scans (core/selection's predicate sweep)
+/// call Detect concurrently. The memory map is mutex-guarded with the
+/// inner compute outside the lock, the hit/miss counters are atomic, and
+/// the store's own locks cover the disk path. The inner detector is
+/// deterministic per (video, frame), so a racing double-compute of the
+/// same frame inserts identical content.
 class PersistentCachedDetector : public ObjectDetector {
  public:
-  /// Neither pointer is owned; both must outlive this object.
+  /// Neither pointer is owned; both must outlive this object. `store` may
+  /// be nullptr: the cache is then process-local.
   PersistentCachedDetector(const ObjectDetector* inner, DetectionStore* store)
       : inner_(inner), store_(store) {}
 
   std::vector<Detection> Detect(const SyntheticVideo& video,
                                 int64_t frame) const override;
 
-  std::string name() const override { return inner_->name() + "+store"; }
+  std::string name() const override {
+    return inner_->name() + (store_ != nullptr ? "+store" : "+cache");
+  }
 
   uint64_t ParamsFingerprint() const override {
     return inner_->ParamsFingerprint();
@@ -45,6 +75,7 @@ class PersistentCachedDetector : public ObjectDetector {
   /// Namespace detections of `video` live under in the store.
   uint64_t StreamNamespace(const SyntheticVideo& video) const;
 
+  /// Frames served from / missed by the store (both 0 without one).
   int64_t store_hits() const { return store_hits_.load(); }
   int64_t store_misses() const { return store_misses_.load(); }
   size_t memory_cache_size() const BLAZEIT_EXCLUDES(mu_) {
@@ -53,6 +84,11 @@ class PersistentCachedDetector : public ObjectDetector {
   }
 
  private:
+  /// A memory-map miss with a store: the stored record, else the inner
+  /// detector's output written (or repaired) back.
+  std::vector<Detection> ReadThroughStore(const SyntheticVideo& video,
+                                          int64_t frame) const;
+
   const ObjectDetector* inner_;
   DetectionStore* store_;
   mutable util::Mutex mu_;

@@ -12,10 +12,6 @@ namespace blazeit {
 
 namespace {
 
-void WarnOnce(const char* what, const Status& status) {
-  BLAZEIT_LOG(kWarning) << what << ": " << status.ToString();
-}
-
 /// Callers' namespaces fingerprint the *inputs*; salt in the code epoch so
 /// artifacts computed by older implementations are never replayed.
 uint64_t Salted(uint64_t ns) {
@@ -72,11 +68,16 @@ std::vector<size_t> StoreArtifactCache::GetRows(
   // Outside the store's lock: a corrupt record behind a valid index is
   // remembered so the caller's recompute-and-Put repairs it in place
   // instead of silently losing to first-write-wins (and re-warning every
-  // run).
-  for (const auto& [i, status] : bad) {
-    WarnOnce("artifact cache read failed, recomputing", status);
-    MarkCorrupt(salted, frames[i]);
+  // run). One warning per ranged read, however many records of a torn
+  // sweep went bad.
+  if (!bad.empty()) {
+    BLAZEIT_LOG(kWarning) << "artifact cache read failed for " << bad.size()
+                          << " of " << frames.size()
+                          << " records, recomputing and repairing in place; "
+                             "first: "
+                          << bad.front().second.ToString();
   }
+  for (const auto& [i, status] : bad) MarkCorrupt(salted, frames[i]);
   std::vector<size_t> miss;
   for (size_t i = 0; i < frames.size(); ++i) {
     if (!hit[i]) miss.push_back(i);
@@ -105,14 +106,18 @@ void StoreArtifactCache::RepairOrPut(uint64_t salted_ns, int64_t frame,
       static obs::Counter* repairs = obs::MetricsRegistry::Global().GetCounter(
           "cache.repairs{tier=persistent}", obs::Stability::kStable);
       repairs->Add();
-      BLAZEIT_LOG(kWarning) << "artifact cache repaired corrupt record in "
-                               "place ("
-                            << kind << ", frame " << frame << ")";
+      // kDebug: the read that found the record corrupt already warned
+      // once for its whole range.
+      BLAZEIT_LOG(kDebug) << "artifact cache repaired corrupt record in "
+                             "place ("
+                          << kind << ", frame " << frame << ")";
     }
   } else {
     st = store_->PutRaw(salted_ns, frame, std::move(payload));
   }
-  if (!st.ok()) WarnOnce("artifact cache write failed", st);
+  if (!st.ok()) {
+    BLAZEIT_LOG(kWarning) << "artifact cache write failed: " << st.ToString();
+  }
 }
 
 void StoreArtifactCache::PutFrameFloats(uint64_t ns, int64_t frame,
@@ -136,7 +141,8 @@ bool StoreArtifactCache::GetBlob(uint64_t ns, std::vector<float>* out) {
   auto values = store_->GetFloats(salted, kBlobFrame);
   if (!values.ok()) {
     if (values.status().code() != StatusCode::kNotFound) {
-      WarnOnce("artifact cache read failed, recomputing", values.status());
+      BLAZEIT_LOG(kWarning) << "artifact cache read failed, recomputing: "
+                            << values.status().ToString();
       MarkCorrupt(salted, kBlobFrame);
     }
     ++misses_;

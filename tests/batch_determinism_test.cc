@@ -3,8 +3,7 @@
 // matched frames, selection rows, and simulated costs — at pool sizes 1
 // (pool disabled), 2, and 8, even though the batch shares one NN training
 // run and one per-frame sweep across each shared-plan group. Also covers
-// the batch bookkeeping itself (grouping, sharing stats, error slots) and
-// the QuerySession wrapper's cross-batch warm sweeps.
+// the batch bookkeeping itself (grouping, sharing stats, error slots).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,8 +11,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/query_session.h"
-#include "core/shared_sweep.h"
 #include "exec/thread_pool.h"
 #include "testing/test_util.h"
 
@@ -175,41 +172,6 @@ TEST_F(BatchDeterminismTest, EmptyBatchIsOk) {
   BLAZEIT_ASSERT_OK(batch);
   EXPECT_TRUE(batch.value().results.empty());
   EXPECT_EQ(batch.value().groups, 0);
-}
-
-TEST_F(BatchDeterminismTest, QuerySessionKeepsSweepsWarmAcrossBatches) {
-  QuerySession session(engine_);
-  const std::string agg =
-      "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' "
-      "ERROR WITHIN 0.1 AT CONFIDENCE 95%";
-
-  session.Add(agg);
-  auto first = session.Run();
-  BLAZEIT_ASSERT_OK(first);
-  ASSERT_TRUE(first.value().results[0].ok());
-  EXPECT_EQ(session.pending(), 0);
-  // The session's sweep tier now holds the trained model + per-frame rows.
-  EXPECT_GT(session.sweeps().frame_float_records(), 0);
-  EXPECT_GE(session.sweeps().blob_records(), 1);
-
-  // A second batch re-asking about the same (stream, class) is served
-  // entirely from the warm sweeps...
-  session.Add(agg);
-  auto second = session.Run();
-  BLAZEIT_ASSERT_OK(second);
-  ASSERT_TRUE(second.value().results[0].ok());
-  EXPECT_EQ(second.value().stats[0].shared_models, 1);
-  EXPECT_GT(second.value().stats[0].shared_nn_frames, 0);
-
-  // ...and still returns bit-identical output, including the meter.
-  auto serial = engine_->Execute(agg);
-  BLAZEIT_ASSERT_OK(serial);
-  ExpectSameOutput(second.value().results[0].value(), serial.value());
-
-  // Session single-query path matches too.
-  auto single = session.Execute(agg);
-  BLAZEIT_ASSERT_OK(single);
-  ExpectSameOutput(single.value(), serial.value());
 }
 
 }  // namespace

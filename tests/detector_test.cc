@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "detect/cached_detector.h"
+#include "storage/persistent_cached_detector.h"
 #include "video/datasets.h"
 
 namespace blazeit {
@@ -117,24 +117,24 @@ TEST_F(DetectorTest, CountAndFilterHelpers) {
 
 TEST_F(DetectorTest, CachedDetectorMatchesInner) {
   SimulatedDetector inner;
-  CachedDetector cached(&inner);
+  PersistentCachedDetector cached(&inner, /*store=*/nullptr);
   auto a = cached.Detect(*video_, 42);
   auto b = inner.Detect(*video_, 42);
   ASSERT_EQ(a.size(), b.size());
   auto c = cached.Detect(*video_, 42);  // from cache
   ASSERT_EQ(a.size(), c.size());
-  EXPECT_EQ(cached.cache_size(), 1u);
-  cached.ClearCache();
-  EXPECT_EQ(cached.cache_size(), 0u);
+  EXPECT_EQ(cached.memory_cache_size(), 1u);
+  EXPECT_EQ(cached.store_hits(), 0);
+  EXPECT_EQ(cached.store_misses(), 0);
 }
 
 TEST_F(DetectorTest, CacheKeyedByVideoSeed) {
   SimulatedDetector inner;
-  CachedDetector cached(&inner);
+  PersistentCachedDetector cached(&inner, /*store=*/nullptr);
   auto other = SyntheticVideo::Create(TaipeiConfig(), 6, 100).value();
   (void)cached.Detect(*video_, 10);
   (void)cached.Detect(*other, 10);
-  EXPECT_EQ(cached.cache_size(), 2u);
+  EXPECT_EQ(cached.memory_cache_size(), 2u);
 }
 
 TEST_F(DetectorTest, CacheDistinguishesSameSeedStreams) {
@@ -149,7 +149,7 @@ TEST_F(DetectorTest, CacheDistinguishesSameSeedStreams) {
   ASSERT_NE(taipei->fingerprint(), rialto->fingerprint());
 
   SimulatedDetector inner;
-  CachedDetector cached(&inner);
+  PersistentCachedDetector cached(&inner, /*store=*/nullptr);
   for (int64_t t = 0; t < 30; ++t) {
     // Populate with taipei first so a colliding key would serve taipei's
     // detections for rialto.
@@ -163,7 +163,7 @@ TEST_F(DetectorTest, CacheDistinguishesSameSeedStreams) {
       EXPECT_EQ(from_cache[i].score, direct[i].score);
     }
   }
-  EXPECT_EQ(cached.cache_size(), 60u);
+  EXPECT_EQ(cached.memory_cache_size(), 60u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/counting_cache.h"
+#include "core/shared_sweep.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/report.h"
@@ -228,12 +229,12 @@ TEST(TraceTest, ChromeJsonValidatesAndHasCompleteEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// CountingCacheView
+// SweepCacheView (per-query cache counting)
 
 using testutil::MapCache;
 
-TEST(CountingCacheTest, NullUnderlyingCountsMissesAndDropsPuts) {
-  CountingCacheView view(nullptr);
+TEST(SweepCacheViewTest, NoTiersCountsMissesAndDropsPuts) {
+  SweepCacheView view(/*shared=*/nullptr, /*underlying=*/nullptr);
   const std::vector<int64_t> frame0 = {0};
   std::vector<float> floats(1);
   std::vector<double> doubles(1);
@@ -254,9 +255,9 @@ TEST(CountingCacheTest, NullUnderlyingCountsMissesAndDropsPuts) {
   EXPECT_EQ(view.stats().blob_misses, 1);
 }
 
-TEST(CountingCacheTest, CountsPerKindHitsThroughUnderlyingCache) {
+TEST(SweepCacheViewTest, CountsPerKindHitsThroughUnderlyingCache) {
   MapCache cache;
-  CountingCacheView view(&cache);
+  SweepCacheView view(/*shared=*/nullptr, &cache);
   std::vector<float> floats;
   std::vector<double> doubles(1);
   EXPECT_FALSE(view.GetBlob(7, &floats));  // cold miss
@@ -274,9 +275,9 @@ TEST(CountingCacheTest, CountsPerKindHitsThroughUnderlyingCache) {
   EXPECT_EQ(view.stats().misses(), 1);
 }
 
-TEST(CountingCacheTest, RangeMixingHitsAndMissesCountsEveryFrame) {
+TEST(SweepCacheViewTest, RangeMixingHitsAndMissesCountsEveryFrame) {
   MapCache cache;
-  CountingCacheView view(&cache);
+  SweepCacheView view(/*shared=*/nullptr, &cache);
   view.PutFrameFloats(5, 1, {1.0f, 1.5f});
   view.PutFrameFloats(5, 3, {3.0f, 3.5f});
   view.PutFrameFloats(5, 4, {4.0f});  // wrong width for this range: a miss
@@ -303,6 +304,98 @@ TEST(CountingCacheTest, RangeMixingHitsAndMissesCountsEveryFrame) {
   EXPECT_EQ(view.stats().frame_double_misses, 2);
   EXPECT_EQ(view.stats().hits(), 4);
   EXPECT_EQ(view.stats().misses(), 5);
+}
+
+/// Records the buffer each ranged read was handed; every frame misses.
+class BufferSpyCache final : public ArtifactCache {
+ public:
+  std::vector<size_t> GetFrameFloatRows(uint64_t,
+                                        std::span<const int64_t> frames,
+                                        size_t, std::span<float> out) override {
+    float_out = out.data();
+    return AllMissed(frames.size());
+  }
+  void PutFrameFloats(uint64_t, int64_t, const std::vector<float>&) override {}
+  std::vector<size_t> GetFrameDoubleRows(uint64_t,
+                                         std::span<const int64_t> frames,
+                                         size_t,
+                                         std::span<double> out) override {
+    double_out = out.data();
+    return AllMissed(frames.size());
+  }
+  void PutFrameDoubles(uint64_t, int64_t,
+                       const std::vector<double>&) override {}
+  bool GetBlob(uint64_t, std::vector<float>*) override { return false; }
+  void PutBlob(uint64_t, const std::vector<float>&) override {}
+
+  const float* float_out = nullptr;
+  const double* double_out = nullptr;
+};
+
+TEST(SweepCacheViewTest, NoSharedTierReadsStraightIntoCallerBuffer) {
+  BufferSpyCache spy;
+  SweepCacheView view(/*shared=*/nullptr, &spy);
+  const std::vector<int64_t> frames = {4, 5, 6};
+  std::vector<float> rows(frames.size() * 2);
+  std::vector<double> scores(frames.size());
+  EXPECT_EQ(view.GetFrameFloatRows(1, frames, 2, rows).size(), 3u);
+  EXPECT_EQ(view.GetFrameDoubleRows(1, frames, 1, scores).size(), 3u);
+  // No staging copy: the persistent tier filled the caller's own buffer.
+  EXPECT_EQ(spy.float_out, rows.data());
+  EXPECT_EQ(spy.double_out, scores.data());
+  EXPECT_EQ(view.stats().misses(), 6);
+}
+
+TEST(SweepCacheViewTest, SharedTierHitsAreASubsetOfAllHits) {
+  SharedSweepCache shared;
+  MapCache persistent;
+  persistent.PutFrameFloats(9, 1, {1.0f});
+  persistent.PutFrameFloats(9, 2, {2.0f});
+
+  // The leader finds rows 1 and 2 on the persistent tier (not shared
+  // hits) and promotes them; its writes land in both tiers.
+  SweepCacheView leader(&shared, &persistent);
+  std::vector<float> rows(3, -1.0f);
+  EXPECT_EQ(leader.GetFrameFloatRows(9, std::vector<int64_t>{0, 1, 2}, 1,
+                                     rows),
+            std::vector<size_t>{0});
+  EXPECT_EQ(rows, (std::vector<float>{-1.0f, 1.0f, 2.0f}));
+  leader.PutFrameFloats(9, 0, {0.5f});
+  leader.PutBlob(9, {7.0f});
+  EXPECT_EQ(persistent.blobs().count(9), 1u);
+  EXPECT_EQ(leader.stats().frame_float_hits, 2);
+  EXPECT_EQ(leader.stats().frame_float_misses, 1);
+  EXPECT_EQ(leader.stats().shared_nn_frames, 0);
+
+  // A row only the persistent tier holds: the follower's hit on it is a
+  // hit, but not a shared one.
+  persistent.PutFrameFloats(9, 3, {3.0f});
+  SweepCacheView follower(&shared, &persistent);
+  std::vector<float> more(4, -1.0f);
+  EXPECT_TRUE(follower
+                  .GetFrameFloatRows(9, std::vector<int64_t>{0, 1, 2, 3}, 1,
+                                     more)
+                  .empty());
+  EXPECT_EQ(more, (std::vector<float>{0.5f, 1.0f, 2.0f, 3.0f}));
+  std::vector<float> blob;
+  EXPECT_TRUE(follower.GetBlob(9, &blob));
+  EXPECT_EQ(blob, std::vector<float>{7.0f});
+  EXPECT_EQ(follower.stats().frame_float_hits, 4);
+  EXPECT_EQ(follower.stats().shared_nn_frames, 3);
+  EXPECT_EQ(follower.stats().blob_hits, 1);
+  EXPECT_EQ(follower.stats().shared_models, 1);
+  EXPECT_EQ(follower.stats().hits(), 5);
+  EXPECT_EQ(follower.stats().misses(), 0);
+
+  // Row 3 was promoted by the follower's read: a shared-only view now
+  // hits it.
+  SweepCacheView shared_only(&shared, /*underlying=*/nullptr);
+  std::vector<float> one(1);
+  EXPECT_TRUE(
+      shared_only.GetFrameFloatRows(9, std::vector<int64_t>{3}, 1, one)
+          .empty());
+  EXPECT_EQ(one[0], 3.0f);
+  EXPECT_EQ(shared_only.stats().shared_nn_frames, 1);
 }
 
 // ---------------------------------------------------------------------------

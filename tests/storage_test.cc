@@ -4,6 +4,7 @@
 // and read/write-through behaviour of PersistentCachedDetector.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "storage/store_artifact_cache.h"
 #include "testing/test_util.h"
 #include "util/crc32.h"
+#include "util/logging.h"
 #include "util/string_util.h"
 #include "util/random.h"
 #include "video/datasets.h"
@@ -709,6 +711,56 @@ TEST_F(StorageTest, ArtifactCacheRepairsCorruptRecordInPlace) {
   auto healed = reopened.value()->GetFloats(salted, 7);
   BLAZEIT_ASSERT_OK(healed.status());
   EXPECT_EQ(healed.value(), values);
+}
+
+std::atomic<int> g_warnings{0};
+
+void CountWarnings(LogLevel level, const std::string& /*message*/) {
+  if (level == LogLevel::kWarning) g_warnings.fetch_add(1);
+}
+
+// A torn sweep leaves many bad records in one range: the ranged read warns
+// once for all of them (not once per record), and each is still repaired
+// in place by the caller's recompute-and-put.
+TEST_F(StorageTest, ArtifactCacheWarnsOncePerRangedReadOfCorruptRecords) {
+  constexpr uint64_t kNs = 43;
+  const uint64_t salted = HashCombine(kNs, kDerivedArtifactEpoch);
+  const std::vector<int64_t> corrupt = {3, 4, 6};
+  {
+    auto store = DetectionStore::Open(dir_);
+    BLAZEIT_ASSERT_OK(store.status());
+    for (int64_t f : corrupt) {
+      BLAZEIT_ASSERT_OK(store.value()->PutRaw(salted, f, "bad"));
+    }
+    BLAZEIT_ASSERT_OK(store.value()->Flush());
+  }
+
+  auto store = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(store.status());
+  StoreArtifactCache cache(store.value().get());
+  const std::vector<int64_t> frames = {2, 3, 4, 5, 6};
+  std::vector<float> out(frames.size() * 2);
+  g_warnings = 0;
+  Logger::set_sink(&CountWarnings);
+  const std::vector<size_t> miss = cache.GetFrameFloatRows(kNs, frames, 2, out);
+  Logger::set_sink(nullptr);
+  EXPECT_EQ(g_warnings.load(), 1);
+  EXPECT_EQ(miss.size(), frames.size());
+  for (size_t i : miss) {
+    const float f = static_cast<float>(frames[i]);
+    cache.PutFrameFloats(kNs, frames[i], {f, -f});
+  }
+  EXPECT_EQ(cache.repairs(), static_cast<int64_t>(corrupt.size()));
+  BLAZEIT_ASSERT_OK(store.value()->Flush());
+
+  auto reopened = DetectionStore::Open(dir_);
+  BLAZEIT_ASSERT_OK(reopened.status());
+  for (int64_t f : frames) {
+    auto healed = reopened.value()->GetFloats(salted, f);
+    BLAZEIT_ASSERT_OK(healed.status());
+    EXPECT_EQ(healed.value(), (std::vector<float>{static_cast<float>(f),
+                                                  -static_cast<float>(f)}));
+  }
 }
 
 // A ranged read resolves every frame exactly as per-record GetRaw does:

@@ -147,6 +147,10 @@ TEST_F(TraceDeterminismTest, ReportReconcilesWithMeterAndTraceValidates) {
     EXPECT_EQ(report.query_seconds, cost.QuerySeconds());
     EXPECT_FALSE(report.plan.empty());
     EXPECT_EQ(report.batch_group, -1);  // standalone run
+    // No shared tier outside a batch.
+    EXPECT_EQ(report.cache.shared_nn_frames, 0);
+    EXPECT_EQ(report.cache.shared_filter_frames, 0);
+    EXPECT_EQ(report.cache.shared_models, 0);
 
     const std::string chrome = report.trace->ToChromeJson();
     EXPECT_TRUE(JsonValidator::Valid(chrome)) << chrome;
@@ -180,6 +184,16 @@ TEST_F(TraceDeterminismTest, BatchSpanStructureMatchesSerial) {
     EXPECT_EQ(out.frames, serial[i].out.frames);
     EXPECT_EQ(out.cost.TotalSeconds(), serial[i].out.cost.TotalSeconds());
     EXPECT_EQ(out.report->total_seconds, serial[i].out.cost.TotalSeconds());
+    // The report's cache line is the query's own view: its shared-tier
+    // counts are the batch stats, and a subset of all its hits.
+    const obs::CacheStats& cache = out.report->cache;
+    const BatchQueryStats& stats = batch.value().stats[i];
+    EXPECT_EQ(cache.shared_nn_frames, stats.shared_nn_frames);
+    EXPECT_EQ(cache.shared_filter_frames, stats.shared_filter_frames);
+    EXPECT_EQ(cache.shared_models, stats.shared_models);
+    EXPECT_GE(cache.hits(), cache.shared_nn_frames +
+                                cache.shared_filter_frames +
+                                cache.shared_models);
   }
 }
 
