@@ -2,6 +2,7 @@
 """Diffs two google-benchmark JSON reports and prints per-bench deltas.
 
 Usage: compare_benchmarks.py [--fail-on-regression PCT] BASELINE.json NEW.json
+       compare_benchmarks.py --ab BASE_DIR CHANGE_DIR
 
 Compares the `_mean` aggregate of every benchmark (falling back to the raw
 entry when a report was produced without repetitions) and prints baseline
@@ -14,9 +15,18 @@ By default exit code is 0 — a report, not a gate. With
 --fail-on-regression PCT, exits 1 when any shared benchmark's new time
 exceeds its baseline by more than PCT percent (missing/new benches never
 trip the gate; see ci/check.sh, which runs this mode non-gating).
+
+With --ab, both arguments are directories of per-round reports of the
+same benches (as `bench/run_benchmarks.sh ab` writes them). For every
+bench it prints each side's median with its min-max over the rounds and
+the change/base ratio of the medians; the verdict is "unresolved" when
+the two ranges overlap, since no ordering of the rounds then separates
+the sides, and "faster" or "slower" otherwise.
 """
 import argparse
 import json
+import os
+import statistics
 import sys
 
 
@@ -43,6 +53,46 @@ def load_means(path):
     return means
 
 
+def load_rounds(directory):
+    """Returns {run_name: [real_time_ns per round]} over DIR/*.json."""
+    rounds = {}
+    for fn in sorted(os.listdir(directory)):
+        if fn.endswith(".json"):
+            for name, ns in load_means(os.path.join(directory, fn)).items():
+                rounds.setdefault(name, []).append(ns)
+    return rounds
+
+
+def compare_ab(base_dir, change_dir):
+    base = load_rounds(base_dir)
+    change = load_rounds(change_dir)
+    names = [n for n in base if n in change]
+    if not names:
+        print("no bench present on both sides")
+        return 1
+    width = max(len(n) for n in names)
+    print(f"{'benchmark':<{width}}  {'base median [min-max]':>34}  "
+          f"{'change median [min-max]':>34}  {'ratio':>6}  verdict")
+    for name in names:
+        b, c = base[name], change[name]
+        bm, cm = statistics.median(b), statistics.median(c)
+        if max(c) < min(b):
+            verdict = "faster"
+        elif min(c) > max(b):
+            verdict = "slower"
+        else:
+            verdict = "unresolved"
+        print(f"{name:<{width}}  {fmt_range(bm, b)}  {fmt_range(cm, c)}  "
+              f"{cm / bm:6.3f}  {verdict}  (n={len(b)}/{len(c)})")
+    return 0
+
+
+def fmt_range(median, values):
+    return (f"{fmt_time(median).strip():>12} "
+            f"[{fmt_time(min(values)).strip()}-"
+            f"{fmt_time(max(values)).strip()}]").rjust(34)
+
+
 def fmt_time(ns):
     if ns is None:
         return f"{'-':>13}"
@@ -64,9 +114,16 @@ def main():
         default=None,
         help="exit 1 when any shared bench slows down by more than PCT%%",
     )
+    parser.add_argument(
+        "--ab",
+        action="store_true",
+        help="BASELINE and NEW are directories of per-round reports",
+    )
     parser.add_argument("baseline")
     parser.add_argument("new")
     args = parser.parse_args()
+    if args.ab:
+        return compare_ab(args.baseline, args.new)
 
     base = load_means(args.baseline)
     new = load_means(args.new)

@@ -2,7 +2,8 @@
 """Project lint: mechanical enforcement of repo-wide source contracts.
 
 Gating in ci/check.sh (and registered as the `lint_test` ctest entry via
---self-test). Checks, over src/ and tests/:
+--self-test). Checks, over the .h, .cc and .inc (textually included
+bodies such as nn/matmul_tiles.inc) files of src/ and tests/:
 
   bare-assert     No bare assert( — use BLAZEIT_CHECK (always-on) or
                   BLAZEIT_DCHECK (hot paths). assert() compiles out under
@@ -22,7 +23,8 @@ Gating in ci/check.sh (and registered as the `lint_test` ctest entry via
                   on at least one declaration site, or carry an explicit
                   lint tag explaining why not.
   include-guard   Every header uses a BLAZEIT_<PATH>_H_ include guard
-                  matching its path.
+                  matching its path (.h only: an .inc is meant to be
+                  included more than once).
 
 Escape hatches (must be on the offending line, visible to reviewers):
     // lint:allow-bare-assert <reason>
@@ -43,7 +45,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SOURCE_DIRS = ("src", "tests")
-SOURCE_EXTS = (".h", ".cc")
+SOURCE_EXTS = (".h", ".cc", ".inc")
 
 # Files allowed to use the raw std primitives: the wrapper itself.
 RAW_MUTEX_ALLOWED = {

@@ -26,8 +26,7 @@ namespace {
 
 /// The sketch probe mirroring exactly the per-frame predicate a full scan
 /// evaluates (requirements, class/ROI/area detection filters, or bare
-/// any-detection); shared with count-distinct via its one-requirement
-/// form.
+/// any-detection).
 SketchProbe ProbeForQuery(const StreamData& stream,
                           const AnalyzedQuery& query) {
   SketchProbe probe;
@@ -44,41 +43,37 @@ SketchProbe ProbeForQuery(const StreamData& stream,
   return probe;
 }
 
-/// Candidate subranges of `window` under the stream's sketch index, or
-/// the whole window when no current index exists (or indexing is off).
-/// `sketch` (nullable) receives the consultation outcome for the query's
-/// ExecutionReport.
-std::vector<SketchIndex::FrameRange> CandidateRangesForScan(
-    const StreamData& stream, const AnalyzedQuery& query, FrameWindow window,
+}  // namespace
+
+std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
+    const StreamData& stream, FrameWindow window, const SketchProbe& probe,
     bool use_store_index, obs::SketchStats* sketch) {
-  const int64_t window_frames =
-      window.end > window.begin ? window.end - window.begin : 0;
-  if (sketch != nullptr) {
-    sketch->consulted = use_store_index && stream.detection_store != nullptr;
-    sketch->window_frames = window_frames;
-    sketch->candidate_frames = window_frames;
-  }
-  if (use_store_index && stream.detection_store != nullptr) {
+  const bool consulted = use_store_index && stream.detection_store != nullptr;
+  std::vector<SketchIndex::FrameRange> ranges;
+  bool pruned = false;
+  if (consulted) {
     SketchIndex index = SketchIndex::Load(stream.detection_store,
                                           stream.test_detections_ns);
     if (index.valid()) {
-      std::vector<SketchIndex::FrameRange> ranges = index.CandidateRanges(
-          window.begin, window.end, ProbeForQuery(stream, query));
-      if (sketch != nullptr) {
-        sketch->pruned = true;
-        sketch->candidate_frames = 0;
-        for (const auto& range : ranges) {
-          sketch->candidate_frames += range.end - range.begin;
-        }
-      }
-      return ranges;
+      ranges = index.CandidateRanges(window.begin, window.end, probe);
+      pruned = true;
     }
   }
-  if (window_frames == 0) return {};
-  return {{window.begin, window.end}};
+  if (!pruned && window.end > window.begin) {
+    ranges.push_back({window.begin, window.end});
+  }
+  if (sketch != nullptr) {
+    sketch->consulted = consulted;
+    sketch->pruned = pruned;
+    sketch->window_frames =
+        window.end > window.begin ? window.end - window.begin : 0;
+    sketch->candidate_frames = 0;
+    for (const auto& range : ranges) {
+      sketch->candidate_frames += range.end - range.begin;
+    }
+  }
+  return ranges;
 }
-
-}  // namespace
 
 BlazeItEngine::BlazeItEngine(VideoCatalog* catalog, EngineOptions options)
     : catalog_(catalog), options_(options) {
@@ -322,33 +317,12 @@ Result<QueryOutput> BlazeItEngine::ExecuteCountDistinct(
   // every open track without minting an id, the rest are no-ops. Skipping
   // the whole gap and issuing one empty Update is therefore bit-identical
   // to walking it, while the skipped frames charge no detector calls.
-  std::vector<SketchIndex::FrameRange> ranges;
-  bool pruned = false;
-  if (options_.use_store_index && stream->detection_store != nullptr) {
-    SketchIndex index = SketchIndex::Load(stream->detection_store,
-                                          stream->test_detections_ns);
-    if (index.valid()) {
-      SketchProbe probe;
-      probe.score_threshold = stream->config.detection_threshold;
-      probe.requirements = {{query.agg_class, 1}};
-      ranges = index.CandidateRanges(window.begin, window.end, probe);
-      pruned = true;
-    }
-  }
-  if (!pruned && window.end > window.begin) {
-    ranges.push_back({window.begin, window.end});
-  }
-  if (report != nullptr) {
-    report->sketch.consulted =
-        options_.use_store_index && stream->detection_store != nullptr;
-    report->sketch.pruned = pruned;
-    report->sketch.window_frames =
-        window.end > window.begin ? window.end - window.begin : 0;
-    report->sketch.candidate_frames = 0;
-    for (const auto& range : ranges) {
-      report->sketch.candidate_frames += range.end - range.begin;
-    }
-  }
+  SketchProbe probe;
+  probe.score_threshold = stream->config.detection_threshold;
+  probe.requirements = {{query.agg_class, 1}};
+  const std::vector<SketchIndex::FrameRange> ranges = SketchCandidateRanges(
+      *stream, window, probe, options_.use_store_index,
+      report != nullptr ? &report->sketch : nullptr);
   obs::TraceSpan span(trace, "track", &out.cost);
   IouTracker tracker;
   int64_t distinct = 0;
@@ -480,8 +454,8 @@ Result<QueryOutput> BlazeItEngine::ExecuteFullScan(
   // Sketch-candidate subranges (the whole window when unindexed): a
   // pruned segment provably contains no matching frame, so skipping it
   // removes only detector charges, never results.
-  const std::vector<SketchIndex::FrameRange> ranges = CandidateRangesForScan(
-      *stream, query, window, options_.use_store_index,
+  const std::vector<SketchIndex::FrameRange> ranges = SketchCandidateRanges(
+      *stream, window, ProbeForQuery(*stream, query), options_.use_store_index,
       report != nullptr ? &report->sketch : nullptr);
   obs::TraceSpan span(trace, "scan", &out.cost);
   for (const auto& range : ranges) {

@@ -13,6 +13,7 @@
 #include "core/udf.h"
 #include "obs/report.h"
 #include "sim/cost_model.h"
+#include "storage/segment_sketch.h"
 #include "util/status.h"
 
 namespace blazeit {
@@ -123,6 +124,18 @@ struct PreparedQuery {
   /// differ across runs, and outputs must not.
   int64_t correlation_id = -1;
 };
+
+/// Candidate subranges of `window` under the stream's sketch index for
+/// `probe`, or the whole window (nothing when it is empty) when
+/// `use_store_index` is off, the stream has no store, or no current index
+/// exists. `sketch` (nullable) receives the consultation outcome for the
+/// query's ExecutionReport. The one front end of the sketch-pruned scans
+/// (full scan, count-distinct, the serving layer's load-shed scan);
+/// scrubbing loads the index itself, because it reuses it for its
+/// density-first order.
+std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
+    const StreamData& stream, FrameWindow window, const SketchProbe& probe,
+    bool use_store_index, obs::SketchStats* sketch);
 
 /// The BlazeIt engine: the public entry point tying everything together.
 /// Parse -> analyze -> rule-based plan choice -> execute (Figure 2).

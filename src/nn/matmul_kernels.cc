@@ -1,5 +1,6 @@
 #include "nn/matmul_kernels.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -107,425 +108,97 @@ void MatMulTransposeBScalar(const float* a, const float* b, float* c, int m,
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 kernels. Each output cell lives in exactly one vector lane and
-// accumulates its k-contributions in ascending order with separate
-// multiply/add intrinsics, so results are bit-identical to the scalar
-// kernels above. Column tiles of 64 (four zmm accumulators) give four
-// independent add chains, hiding FP add latency.
+// SIMD tiers: nn/matmul_tiles.inc instantiated once per ISA inside that
+// ISA's target-pragma region (one template across regions cannot inline
+// the target-specific lane ops): 4-row x 64-column tiles on AVX-512, 2-row
+// x 32-column tiles on AVX2, each tier keeping its own zero-skip rows.
 // ---------------------------------------------------------------------------
 
 #ifdef BLAZEIT_X86_64
 
 // GCC 12's maskz load/store intrinsics expand through an uninitialized
-// placeholder vector, tripping -Wmaybe-uninitialized at -O2; the pattern
-// is well-defined (masked lanes are zeroed), so silence the false
-// positive for the kernel bodies only.
+// placeholder vector and trip a false -Wmaybe-uninitialized at -O2 (the
+// masked lanes are well-defined zeros); silence it for the tiers only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 namespace {
 
-/// Per-16-column lane masks for a 64-wide column group starting at j0.
-inline void ColumnMasks(int n, int j0, __mmask16 mask[4]) {
-  for (int t = 0; t < 4; ++t) {
-    int live = n - (j0 + 16 * t);
-    live = live < 0 ? 0 : (live > 16 ? 16 : live);
-    mask[t] = static_cast<__mmask16>((1u << live) - 1u);
+#if defined(__clang__)
+#pragma clang attribute push(__attribute__((target("avx512f,avx512dq"))), \
+                             apply_to = function)
+#else
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512dq")
+#endif
+
+namespace avx512 {
+
+struct Lanes {
+  using Vec = __m512;
+  using Mask = __mmask16;
+  static constexpr int kWidth = 16;
+  static constexpr int kRows = 4;
+  static Mask FirstLanes(int live) {
+    return static_cast<Mask>((1u << std::clamp(live, 0, kWidth)) - 1u);
   }
-}
-
-__attribute__((target("avx512f,avx512dq"))) void MatMulAvx512Rows(
-    const float* a, const float* b, float* c, int k, int n, int i0, int i1) {
-  // Row blocks of four share one streaming pass over b (the dominant
-  // memory traffic: b is re-read once per row block, so blocking cuts it
-  // 4x), with one 64-column group of accumulators per row — 16 zmm live.
-  // A coefficient that is exactly zero contributes only a signed zero,
-  // and adding a signed zero never changes a finite partial sum (a +0
-  // accumulator stays +0 under round-to-nearest), so the unconditional
-  // multiply-add in the 4-row block is bit-identical to the scalar
-  // kernel's skip for finite inputs; the all-four-zero check keeps the
-  // ReLU-sparsity win.
-  for (int j0 = 0; j0 < n; j0 += 64) {
-    __mmask16 mask[4];
-    ColumnMasks(n, j0, mask);
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      __m512 acc[4][4];
-      for (int r = 0; r < 4; ++r) {
-        for (int t = 0; t < 4; ++t) acc[r][t] = _mm512_setzero_ps();
-      }
-      for (int p = 0; p < k; ++p) {
-        const float v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-        if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f) continue;
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        const __m512 w0 = _mm512_set1_ps(v0);
-        const __m512 w1 = _mm512_set1_ps(v1);
-        const __m512 w2 = _mm512_set1_ps(v2);
-        const __m512 w3 = _mm512_set1_ps(v3);
-        for (int t = 0; t < 4; ++t) {
-          const __m512 bv = _mm512_maskz_loadu_ps(mask[t], brow + 16 * t);
-          acc[0][t] = _mm512_add_ps(acc[0][t], _mm512_mul_ps(w0, bv));
-          acc[1][t] = _mm512_add_ps(acc[1][t], _mm512_mul_ps(w1, bv));
-          acc[2][t] = _mm512_add_ps(acc[2][t], _mm512_mul_ps(w2, bv));
-          acc[3][t] = _mm512_add_ps(acc[3][t], _mm512_mul_ps(w3, bv));
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        float* crow = c + static_cast<size_t>(i + r) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          _mm512_mask_storeu_ps(crow + 16 * t, mask[t], acc[r][t]);
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* arow = a + static_cast<size_t>(i) * k;
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      __m512 acc2 = _mm512_setzero_ps();
-      __m512 acc3 = _mm512_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const __m512 avv = _mm512_set1_ps(av);
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        acc0 = _mm512_add_ps(
-            acc0, _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[0], brow)));
-        acc1 = _mm512_add_ps(
-            acc1,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[1], brow + 16)));
-        acc2 = _mm512_add_ps(
-            acc2,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[2], brow + 32)));
-        acc3 = _mm512_add_ps(
-            acc3,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[3], brow + 48)));
-      }
-      float* crow = c + static_cast<size_t>(i) * n + j0;
-      _mm512_mask_storeu_ps(crow, mask[0], acc0);
-      _mm512_mask_storeu_ps(crow + 16, mask[1], acc1);
-      _mm512_mask_storeu_ps(crow + 32, mask[2], acc2);
-      _mm512_mask_storeu_ps(crow + 48, mask[3], acc3);
-    }
+  static Vec Zero() { return _mm512_setzero_ps(); }
+  static Vec Splat(float v) { return _mm512_set1_ps(v); }
+  static Vec Load(const float* p, Mask m) {
+    return _mm512_maskz_loadu_ps(m, p);
   }
-}
-
-__attribute__((target("avx512f,avx512dq"))) void MatMulTransposeAAvx512Rows(
-    const float* a, const float* b, float* c, int m, int k, int n, int i0,
-    int i1) {
-  // Same tile shape and row blocking as MatMulAvx512Rows; the only
-  // difference is that row i's coefficient at step p comes from a's
-  // column i, so a 4-row block reads its four coefficients as one
-  // contiguous quad at a[p*m + i]. Per-cell accumulation order and zero
-  // handling match the scalar kernel bit-for-bit (see the signed-zero
-  // note above).
-  for (int j0 = 0; j0 < n; j0 += 64) {
-    __mmask16 mask[4];
-    ColumnMasks(n, j0, mask);
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      __m512 acc[4][4];
-      for (int r = 0; r < 4; ++r) {
-        for (int t = 0; t < 4; ++t) acc[r][t] = _mm512_setzero_ps();
-      }
-      for (int p = 0; p < k; ++p) {
-        const float* ap = a + static_cast<size_t>(p) * m + i;
-        const float v0 = ap[0], v1 = ap[1], v2 = ap[2], v3 = ap[3];
-        if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f) continue;
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        const __m512 w0 = _mm512_set1_ps(v0);
-        const __m512 w1 = _mm512_set1_ps(v1);
-        const __m512 w2 = _mm512_set1_ps(v2);
-        const __m512 w3 = _mm512_set1_ps(v3);
-        for (int t = 0; t < 4; ++t) {
-          const __m512 bv = _mm512_maskz_loadu_ps(mask[t], brow + 16 * t);
-          acc[0][t] = _mm512_add_ps(acc[0][t], _mm512_mul_ps(w0, bv));
-          acc[1][t] = _mm512_add_ps(acc[1][t], _mm512_mul_ps(w1, bv));
-          acc[2][t] = _mm512_add_ps(acc[2][t], _mm512_mul_ps(w2, bv));
-          acc[3][t] = _mm512_add_ps(acc[3][t], _mm512_mul_ps(w3, bv));
-        }
-      }
-      for (int r = 0; r < 4; ++r) {
-        float* crow = c + static_cast<size_t>(i + r) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          _mm512_mask_storeu_ps(crow + 16 * t, mask[t], acc[r][t]);
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* acol = a + i;
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      __m512 acc2 = _mm512_setzero_ps();
-      __m512 acc3 = _mm512_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const float av = acol[static_cast<size_t>(p) * m];
-        if (av == 0.0f) continue;
-        const __m512 avv = _mm512_set1_ps(av);
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        acc0 = _mm512_add_ps(
-            acc0, _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[0], brow)));
-        acc1 = _mm512_add_ps(
-            acc1,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[1], brow + 16)));
-        acc2 = _mm512_add_ps(
-            acc2,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[2], brow + 32)));
-        acc3 = _mm512_add_ps(
-            acc3,
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(mask[3], brow + 48)));
-      }
-      float* crow = c + static_cast<size_t>(i) * n + j0;
-      _mm512_mask_storeu_ps(crow, mask[0], acc0);
-      _mm512_mask_storeu_ps(crow + 16, mask[1], acc1);
-      _mm512_mask_storeu_ps(crow + 32, mask[2], acc2);
-      _mm512_mask_storeu_ps(crow + 48, mask[3], acc3);
-    }
+  static Vec LoadAll(const float* p) { return _mm512_loadu_ps(p); }
+  static void Store(float* p, Mask m, Vec v) { _mm512_mask_storeu_ps(p, m, v); }
+  static Vec MulAdd(Vec acc, Vec w, Vec x) {
+    return _mm512_add_ps(acc, _mm512_mul_ps(w, x));
   }
-}
+};
 
-__attribute__((target("avx512f,avx512dq"))) void MatMulTransposeBAvx512Cols(
-    const float* a, const float* b, float* c, int m, int k, int n, int jb,
-    int je) {
-  // Every cell is a strict-order dot product over k, so the j dimension is
-  // vectorized instead: pack a 16-column tile of b transposed (so step p
-  // reads 16 contiguous floats), then sweep rows of a four at a time for
-  // four independent accumulator chains. Lane j keeps its own running sum
-  // in ascending-p order — identical bits to the scalar dot product.
-  std::vector<float> bt(static_cast<size_t>(k) * 16);
-  for (int j0 = jb; j0 < je; j0 += 16) {
-    const int jw = je - j0 < 16 ? je - j0 : 16;
-    const __mmask16 mask = static_cast<__mmask16>((1u << jw) - 1u);
-    for (int p = 0; p < k; ++p) {
-      float* row = bt.data() + static_cast<size_t>(p) * 16;
-      for (int t = 0; t < jw; ++t) {
-        row[t] = b[static_cast<size_t>(j0 + t) * k + p];
-      }
-      for (int t = jw; t < 16; ++t) row[t] = 0.0f;
-    }
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      __m512 acc0 = _mm512_setzero_ps();
-      __m512 acc1 = _mm512_setzero_ps();
-      __m512 acc2 = _mm512_setzero_ps();
-      __m512 acc3 = _mm512_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const __m512 bv = _mm512_loadu_ps(bt.data() + static_cast<size_t>(p) * 16);
-        acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(_mm512_set1_ps(a0[p]), bv));
-        acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(_mm512_set1_ps(a1[p]), bv));
-        acc2 = _mm512_add_ps(acc2, _mm512_mul_ps(_mm512_set1_ps(a2[p]), bv));
-        acc3 = _mm512_add_ps(acc3, _mm512_mul_ps(_mm512_set1_ps(a3[p]), bv));
-      }
-      _mm512_mask_storeu_ps(c + static_cast<size_t>(i) * n + j0, mask, acc0);
-      _mm512_mask_storeu_ps(c + static_cast<size_t>(i + 1) * n + j0, mask, acc1);
-      _mm512_mask_storeu_ps(c + static_cast<size_t>(i + 2) * n + j0, mask, acc2);
-      _mm512_mask_storeu_ps(c + static_cast<size_t>(i + 3) * n + j0, mask, acc3);
-    }
-    for (; i < m; ++i) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      __m512 acc = _mm512_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const __m512 bv = _mm512_loadu_ps(bt.data() + static_cast<size_t>(p) * 16);
-        acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(a0[p]), bv));
-      }
-      _mm512_mask_storeu_ps(c + static_cast<size_t>(i) * n + j0, mask, acc);
-    }
+#include "nn/matmul_tiles.inc"
+
+}  // namespace avx512
+
+#if defined(__clang__)
+#pragma clang attribute pop
+#pragma clang attribute push(__attribute__((target("avx2"))), \
+                             apply_to = function)
+#else
+#pragma GCC pop_options
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#endif
+
+namespace avx2 {
+
+struct Lanes {
+  using Vec = __m256;
+  using Mask = __m256i;
+  static constexpr int kWidth = 8;
+  static constexpr int kRows = 2;
+  /// All-ones in lanes [0, live): the compare clamps out-of-range counts.
+  static Mask FirstLanes(int live) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(live),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 tier: the same tiling ideas at 256 bits — 32-column groups (four
-// ymm accumulators) with 2-row blocks, per-8-column tail masks built by
-// integer compare. Per-cell accumulation stays ascending-k with separate
-// multiply/add, so this tier too is bit-identical to scalar for finite
-// inputs (the 2-row blocks skip a step only when both coefficients are
-// exactly zero; see the signed-zero note above).
-// ---------------------------------------------------------------------------
-
-/// All-ones in lanes [0, live), zeros beyond — the AVX2 maskload/maskstore
-/// mask for a partial 8-column subgroup.
-__attribute__((target("avx2"))) inline __m256i LaneMaskAvx2(int live) {
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(live), iota);
-}
-
-__attribute__((target("avx2"))) void MatMulAvx2Rows(const float* a,
-                                                    const float* b, float* c,
-                                                    int k, int n, int i0,
-                                                    int i1) {
-  for (int j0 = 0; j0 < n; j0 += 32) {
-    __m256i mask[4];
-    for (int t = 0; t < 4; ++t) {
-      int live = n - (j0 + 8 * t);
-      live = live < 0 ? 0 : (live > 8 ? 8 : live);
-      mask[t] = LaneMaskAvx2(live);
-    }
-    int i = i0;
-    for (; i + 2 <= i1; i += 2) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      const float* a1 = a0 + k;
-      __m256 acc[2][4];
-      for (int r = 0; r < 2; ++r) {
-        for (int t = 0; t < 4; ++t) acc[r][t] = _mm256_setzero_ps();
-      }
-      for (int p = 0; p < k; ++p) {
-        const float v0 = a0[p], v1 = a1[p];
-        if (v0 == 0.0f && v1 == 0.0f) continue;
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        const __m256 w0 = _mm256_set1_ps(v0);
-        const __m256 w1 = _mm256_set1_ps(v1);
-        for (int t = 0; t < 4; ++t) {
-          const __m256 bv = _mm256_maskload_ps(brow + 8 * t, mask[t]);
-          acc[0][t] = _mm256_add_ps(acc[0][t], _mm256_mul_ps(w0, bv));
-          acc[1][t] = _mm256_add_ps(acc[1][t], _mm256_mul_ps(w1, bv));
-        }
-      }
-      for (int r = 0; r < 2; ++r) {
-        float* crow = c + static_cast<size_t>(i + r) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          _mm256_maskstore_ps(crow + 8 * t, mask[t], acc[r][t]);
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* arow = a + static_cast<size_t>(i) * k;
-      __m256 acc[4];
-      for (int t = 0; t < 4; ++t) acc[t] = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const __m256 avv = _mm256_set1_ps(av);
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          const __m256 bv = _mm256_maskload_ps(brow + 8 * t, mask[t]);
-          acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(avv, bv));
-        }
-      }
-      float* crow = c + static_cast<size_t>(i) * n + j0;
-      for (int t = 0; t < 4; ++t) {
-        _mm256_maskstore_ps(crow + 8 * t, mask[t], acc[t]);
-      }
-    }
+  static Vec Zero() { return _mm256_setzero_ps(); }
+  static Vec Splat(float v) { return _mm256_set1_ps(v); }
+  static Vec Load(const float* p, Mask m) { return _mm256_maskload_ps(p, m); }
+  static Vec LoadAll(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, Mask m, Vec v) { _mm256_maskstore_ps(p, m, v); }
+  static Vec MulAdd(Vec acc, Vec w, Vec x) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(w, x));
   }
-}
+};
 
-__attribute__((target("avx2"))) void MatMulTransposeAAvx2Rows(
-    const float* a, const float* b, float* c, int m, int k, int n, int i0,
-    int i1) {
-  for (int j0 = 0; j0 < n; j0 += 32) {
-    __m256i mask[4];
-    for (int t = 0; t < 4; ++t) {
-      int live = n - (j0 + 8 * t);
-      live = live < 0 ? 0 : (live > 8 ? 8 : live);
-      mask[t] = LaneMaskAvx2(live);
-    }
-    int i = i0;
-    for (; i + 2 <= i1; i += 2) {
-      __m256 acc[2][4];
-      for (int r = 0; r < 2; ++r) {
-        for (int t = 0; t < 4; ++t) acc[r][t] = _mm256_setzero_ps();
-      }
-      for (int p = 0; p < k; ++p) {
-        const float* ap = a + static_cast<size_t>(p) * m + i;
-        const float v0 = ap[0], v1 = ap[1];
-        if (v0 == 0.0f && v1 == 0.0f) continue;
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        const __m256 w0 = _mm256_set1_ps(v0);
-        const __m256 w1 = _mm256_set1_ps(v1);
-        for (int t = 0; t < 4; ++t) {
-          const __m256 bv = _mm256_maskload_ps(brow + 8 * t, mask[t]);
-          acc[0][t] = _mm256_add_ps(acc[0][t], _mm256_mul_ps(w0, bv));
-          acc[1][t] = _mm256_add_ps(acc[1][t], _mm256_mul_ps(w1, bv));
-        }
-      }
-      for (int r = 0; r < 2; ++r) {
-        float* crow = c + static_cast<size_t>(i + r) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          _mm256_maskstore_ps(crow + 8 * t, mask[t], acc[r][t]);
-        }
-      }
-    }
-    for (; i < i1; ++i) {
-      const float* acol = a + i;
-      __m256 acc[4];
-      for (int t = 0; t < 4; ++t) acc[t] = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const float av = acol[static_cast<size_t>(p) * m];
-        if (av == 0.0f) continue;
-        const __m256 avv = _mm256_set1_ps(av);
-        const float* brow = b + static_cast<size_t>(p) * n + j0;
-        for (int t = 0; t < 4; ++t) {
-          const __m256 bv = _mm256_maskload_ps(brow + 8 * t, mask[t]);
-          acc[t] = _mm256_add_ps(acc[t], _mm256_mul_ps(avv, bv));
-        }
-      }
-      float* crow = c + static_cast<size_t>(i) * n + j0;
-      for (int t = 0; t < 4; ++t) {
-        _mm256_maskstore_ps(crow + 8 * t, mask[t], acc[t]);
-      }
-    }
-  }
-}
+#include "nn/matmul_tiles.inc"
 
-__attribute__((target("avx2"))) void MatMulTransposeBAvx2Cols(
-    const float* a, const float* b, float* c, int m, int k, int n, int jb,
-    int je) {
-  // 8-column transposed pack of b, then 4-row sweeps with one ymm
-  // accumulator chain per row; lane j accumulates its dot product in
-  // ascending-p order, matching the scalar kernel bit-for-bit.
-  std::vector<float> bt(static_cast<size_t>(k) * 8);
-  for (int j0 = jb; j0 < je; j0 += 8) {
-    const int jw = je - j0 < 8 ? je - j0 : 8;
-    const __m256i mask = LaneMaskAvx2(jw);
-    for (int p = 0; p < k; ++p) {
-      float* row = bt.data() + static_cast<size_t>(p) * 8;
-      for (int t = 0; t < jw; ++t) {
-        row[t] = b[static_cast<size_t>(j0 + t) * k + p];
-      }
-      for (int t = jw; t < 8; ++t) row[t] = 0.0f;
-    }
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      const float* a1 = a0 + k;
-      const float* a2 = a1 + k;
-      const float* a3 = a2 + k;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const __m256 bv =
-            _mm256_loadu_ps(bt.data() + static_cast<size_t>(p) * 8);
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_set1_ps(a0[p]), bv));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_set1_ps(a1[p]), bv));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(_mm256_set1_ps(a2[p]), bv));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(_mm256_set1_ps(a3[p]), bv));
-      }
-      _mm256_maskstore_ps(c + static_cast<size_t>(i) * n + j0, mask, acc0);
-      _mm256_maskstore_ps(c + static_cast<size_t>(i + 1) * n + j0, mask, acc1);
-      _mm256_maskstore_ps(c + static_cast<size_t>(i + 2) * n + j0, mask, acc2);
-      _mm256_maskstore_ps(c + static_cast<size_t>(i + 3) * n + j0, mask, acc3);
-    }
-    for (; i < m; ++i) {
-      const float* a0 = a + static_cast<size_t>(i) * k;
-      __m256 acc = _mm256_setzero_ps();
-      for (int p = 0; p < k; ++p) {
-        const __m256 bv =
-            _mm256_loadu_ps(bt.data() + static_cast<size_t>(p) * 8);
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a0[p]), bv));
-      }
-      _mm256_maskstore_ps(c + static_cast<size_t>(i) * n + j0, mask, acc);
-    }
-  }
-}
+}  // namespace avx2
+
+#if defined(__clang__)
+#pragma clang attribute pop
+#else
+#pragma GCC pop_options
+#endif
 
 }  // namespace
 
@@ -563,14 +236,8 @@ void DispatchRange(int m, int k, int n, int span, int shard,
 void MatMul(const float* a, const float* b, float* c, int m, int k, int n) {
   DispatchRange(m, k, n, m, kRowShard, [&](int i0, int i1) {
 #ifdef BLAZEIT_X86_64
-    if (CpuHasAvx512()) {
-      MatMulAvx512Rows(a, b, c, k, n, i0, i1);
-      return;
-    }
-    if (CpuHasAvx2()) {
-      MatMulAvx2Rows(a, b, c, k, n, i0, i1);
-      return;
-    }
+    if (CpuHasAvx512()) return avx512::Rows(a, k, 1, b, c, k, n, i0, i1);
+    if (CpuHasAvx2()) return avx2::Rows(a, k, 1, b, c, k, n, i0, i1);
 #endif
     MatMulScalarRows(a, b, c, k, n, i0, i1);
   });
@@ -580,14 +247,8 @@ void MatMulTransposeA(const float* a, const float* b, float* c, int m, int k,
                       int n) {
   DispatchRange(m, k, n, m, kRowShard, [&](int i0, int i1) {
 #ifdef BLAZEIT_X86_64
-    if (CpuHasAvx512()) {
-      MatMulTransposeAAvx512Rows(a, b, c, m, k, n, i0, i1);
-      return;
-    }
-    if (CpuHasAvx2()) {
-      MatMulTransposeAAvx2Rows(a, b, c, m, k, n, i0, i1);
-      return;
-    }
+    if (CpuHasAvx512()) return avx512::Rows(a, 1, m, b, c, k, n, i0, i1);
+    if (CpuHasAvx2()) return avx2::Rows(a, 1, m, b, c, k, n, i0, i1);
 #endif
     MatMulTransposeAScalarRows(a, b, c, m, k, n, i0, i1);
   });
@@ -600,14 +261,8 @@ void MatMulTransposeB(const float* a, const float* b, float* c, int m, int k,
   // would re-pack every tile per shard).
   DispatchRange(m, k, n, n, kColShard, [&](int j0, int j1) {
 #ifdef BLAZEIT_X86_64
-    if (CpuHasAvx512()) {
-      MatMulTransposeBAvx512Cols(a, b, c, m, k, n, j0, j1);
-      return;
-    }
-    if (CpuHasAvx2()) {
-      MatMulTransposeBAvx2Cols(a, b, c, m, k, n, j0, j1);
-      return;
-    }
+    if (CpuHasAvx512()) return avx512::TransposeBCols(a, b, c, m, k, n, j0, j1);
+    if (CpuHasAvx2()) return avx2::TransposeBCols(a, b, c, m, k, n, j0, j1);
 #endif
     MatMulTransposeBScalarCols(a, b, c, m, k, n, j0, j1);
   });

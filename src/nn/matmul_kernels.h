@@ -12,6 +12,13 @@ namespace matmul {
 /// the exec thread pool when the product is large enough to pay for it.
 /// All matrices are dense row-major float.
 ///
+/// The SIMD tiers share one tile body per op (nn/matmul_tiles.inc:
+/// `Rows` serves MatMul and MatMulTransposeA, which differ only in how a
+/// row's coefficient is addressed; `TransposeBCols` serves
+/// MatMulTransposeB), instantiated once per ISA over a small lane struct:
+/// 4-row x 64-column tiles on AVX-512, 2-row x 32-column tiles on AVX2.
+/// The scalar kernels stay hand-written; they are the parity reference.
+///
 /// Bit-exactness contract (for finite inputs): for every output cell,
 /// contributions accumulate in ascending-k order with multiply and add
 /// kept separate (no FMA, no reassociated/horizontal reductions), and the

@@ -486,23 +486,13 @@ Result<QueryOutput> AdmissionQueue::RunDegraded(const PreparedQuery& prepared,
     // while dropping the expensive specialized-NN ordering.
     out.plan = PlanKind::kScanScrubbing;
     out.plan_description = "load-shed: sketch-only scan, no NN ranking";
-    std::vector<SketchIndex::FrameRange> ranges;
-    bool pruned = false;
-    if (engine_->options().use_store_index &&
-        stream->detection_store != nullptr) {
-      SketchIndex index = SketchIndex::Load(stream->detection_store,
-                                            stream->test_detections_ns);
-      if (index.valid()) {
-        SketchProbe probe;
-        probe.score_threshold = stream->config.detection_threshold;
-        probe.requirements = query.requirements;
-        ranges = index.CandidateRanges(window.begin, window.end, probe);
-        pruned = true;
-      }
-    }
-    if (!pruned && window.end > window.begin) {
-      ranges.push_back({window.begin, window.end});
-    }
+    // Requirements-only probe: the shed scan checks nothing else per frame.
+    SketchProbe probe;
+    probe.score_threshold = stream->config.detection_threshold;
+    probe.requirements = query.requirements;
+    const std::vector<SketchIndex::FrameRange> ranges = SketchCandidateRanges(
+        *stream, window, probe, engine_->options().use_store_index,
+        report != nullptr ? &report->sketch : nullptr);
     int64_t last_accepted = -1;
     bool limit_reached = false;
     for (const auto& range : ranges) {
@@ -523,18 +513,7 @@ Result<QueryOutput> AdmissionQueue::RunDegraded(const PreparedQuery& prepared,
       }
       if (limit_reached) break;
     }
-    if (report != nullptr) {
-      report->accuracy_tier = "degraded-scan";
-      report->sketch.consulted = engine_->options().use_store_index &&
-                                 stream->detection_store != nullptr;
-      report->sketch.pruned = pruned;
-      report->sketch.window_frames =
-          window.end > window.begin ? window.end - window.begin : 0;
-      report->sketch.candidate_frames = 0;
-      for (const auto& range : ranges) {
-        report->sketch.candidate_frames += range.end - range.begin;
-      }
-    }
+    if (report != nullptr) report->accuracy_tier = "degraded-scan";
   }
 
   if (report != nullptr) {

@@ -93,7 +93,10 @@ TEST(MatMulDeathTest, TransposeBMismatchAborts) {
 // The dispatched (possibly AVX-512) kernels must be bit-identical to the
 // scalar fallbacks — the persistent artifact store replays NN outputs
 // across machines with different ISAs. Shapes cover SIMD tile tails
-// (n % 16, m % 4) and exact-zero coefficients (ReLU activations).
+// (n % 16, m % 4) and exact-zero coefficients (ReLU activations); the
+// last shape of each list is above the sharding threshold (m*k*n >= 2^22,
+// span >= two shards, ragged last shard), so the pool-sharded
+// decomposition is pinned against the single-range scalar kernel too.
 class MatMulParityTest : public ::testing::Test {
  protected:
   static Matrix RandomMatrix(Rng* rng, int rows, int cols,
@@ -120,7 +123,7 @@ TEST_F(MatMulParityTest, MatMulMatchesScalar) {
   Rng rng(21);
   constexpr int kShapes[][3] = {{1, 1, 1},   {2, 3, 4},    {4, 16, 16},
                                 {5, 7, 3},   {7, 33, 17},  {8, 64, 64},
-                                {9, 100, 65}, {16, 256, 8}};
+                                {9, 100, 65}, {16, 256, 8}, {97, 512, 96}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, m, k, zf);
@@ -139,7 +142,7 @@ TEST_F(MatMulParityTest, TransposeAMatchesScalar) {
   Rng rng(22);
   constexpr int kShapes[][3] = {{1, 1, 1},  {3, 2, 4},   {16, 4, 16},
                                 {7, 5, 3},  {33, 7, 17}, {64, 8, 64},
-                                {100, 9, 65}};
+                                {100, 9, 65}, {97, 512, 96}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, k, m, zf);
@@ -158,7 +161,7 @@ TEST_F(MatMulParityTest, TransposeBMatchesScalar) {
   Rng rng(23);
   constexpr int kShapes[][3] = {{1, 1, 1},  {3, 4, 2},   {16, 16, 4},
                                 {7, 3, 5},  {33, 17, 7}, {64, 64, 8},
-                                {100, 65, 9}};
+                                {100, 65, 9}, {64, 512, 136}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, m, k, zf);
