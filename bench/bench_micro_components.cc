@@ -134,12 +134,12 @@ void BM_MatMulTransposeB(benchmark::State& state) {
 BENCHMARK(BM_MatMulTransposeB);
 
 // ---------------------------------------------------------------------------
-// Thread-count axes (PR 4): the sharded frame pipeline and batched NN
-// inference at pool sizes 1/2/4/8. On a multi-core machine these are the
-// scaling benches BENCH_pr4.json records (expect near-linear on the
-// render-bound sweep); on a single core they pin the overhead of the
-// sharding machinery at ~zero. Outputs are bit-identical across the axis
-// — only wall clock may move.
+// Thread-count axes: the sharded frame pipeline, batched NN inference and
+// cold NN training at several pool sizes. On a multi-core machine these
+// are the scaling benches (expect near-linear on the render-bound sweep);
+// on a single core they pin the overhead of the sharding machinery at
+// ~zero. Outputs are bit-identical across the axis — only wall clock may
+// move.
 // ---------------------------------------------------------------------------
 
 void BM_FrameFeaturesBatchThreads(benchmark::State& state) {
@@ -185,6 +185,31 @@ void BM_SpecializedNNInferenceThreads(benchmark::State& state) {
   exec::ThreadPool::Instance().Reconfigure(exec::ThreadPool::ThreadsFromEnv());
 }
 BENCHMARK(BM_SpecializedNNInferenceThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// One cold SpecializedNN::Train at the default shape (32x32 raster, 64
+// hidden units, batch 16, one epoch) on 6000 frames of the day, the size
+// of a cold engine query's training day: block-rendered rows on the pool,
+// then the serial SGD steps. Nothing is cached, so every iteration trains.
+void BM_SpecializedNNTrain(benchmark::State& state) {
+  static const std::vector<int>* car_counts = [] {
+    SimulatedDetector det;
+    LabeledSet labels(&Video(), &det, 0.5);
+    return new std::vector<int>(labels.Counts(kCar));
+  }();
+  exec::ThreadPool::Instance().Reconfigure(static_cast<int>(state.range(0)));
+  SpecializedNNConfig cfg;
+  cfg.max_train_frames = 6000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        SpecializedNN::Train(Video(), {*car_counts}, cfg).value());
+  }
+  state.SetItemsProcessed(state.iterations() * cfg.max_train_frames);
+  exec::ThreadPool::Instance().Reconfigure(exec::ThreadPool::ThreadsFromEnv());
+}
+BENCHMARK(BM_SpecializedNNTrain)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MatMulThreads(benchmark::State& state) {
   exec::ThreadPool::Instance().Reconfigure(static_cast<int>(state.range(0)));

@@ -1,29 +1,20 @@
 #!/usr/bin/env bash
-# Runs the google-benchmark micro-benchmarks and writes a JSON report, the
-# recorded baseline the ROADMAP asks for before any hot-path optimization.
+# Runs the google-benchmark micro-benchmarks and writes a JSON report, or
+# A/B-compares two builds' micro-benchmarks in one run.
 #
 #   bench/run_benchmarks.sh [--threads N] [build-dir] [output.json]
-#   bench/run_benchmarks.sh compare [--threads N] [build-dir] [output.json] \
-#       [baseline.json]
 #   bench/run_benchmarks.sh ab [--threads N] <base-build> <change-build> \
 #       [filter] [rounds]
 #
 # --threads N pins BLAZEIT_THREADS for the run, sizing the exec pool every
-# pool-aware bench inherits by default (the BM_*Threads benches sweep
-# their own explicit 1/2/4/8 axis regardless). Unset, the pool sizes
-# itself to the machine.
+# pool-aware bench inherits by default (the BM_*Threads benches and
+# BM_SpecializedNNTrain sweep their own explicit thread axis regardless).
+# Unset, the pool sizes itself to the machine.
 #
-# Defaults: build dir `build`, output `bench/BENCH_baseline.json` — i.e.
-# running it with no arguments refreshes the committed baseline.
-#
-# `compare` mode writes the fresh run to output.json (default
-# `bench/BENCH_current.json`, gitignored — pass an explicit path like
-# `bench/BENCH_pr3.json` to record a PR snapshot) and then diffs it
-# against the committed baseline
-# (default `bench/BENCH_baseline.json`), printing per-bench deltas and
-# speedups via bench/compare_benchmarks.py. The diff is a report, not a
-# gate; ci/check.sh runs it non-gating so the perf trajectory is visible
-# on every CI run.
+# Defaults: build dir `build`, output `bench/BENCH_baseline.json`.
+# bench/compare_benchmarks.py BEFORE.json AFTER.json diffs two reports,
+# but only reports taken back to back mean anything: this kind of VM
+# drifts by ±25% between runs, so judge a change with `ab` mode.
 #
 # `ab` mode is the same-run A/B for judging a change: it runs the
 # bench_micro_components binaries of two builds (say, the parent commit's
@@ -43,7 +34,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="run"
-if [[ "${1:-}" == "compare" || "${1:-}" == "ab" ]]; then
+if [[ "${1:-}" == "ab" ]]; then
   MODE="$1"
   shift
 fi
@@ -85,12 +76,7 @@ if [[ "${MODE}" == "ab" ]]; then
 fi
 
 BUILD_DIR="${1:-build}"
-if [[ "${MODE}" == "compare" ]]; then
-  OUT="${2:-bench/BENCH_current.json}"
-  BASELINE="${3:-bench/BENCH_baseline.json}"
-else
-  OUT="${2:-bench/BENCH_baseline.json}"
-fi
+OUT="${2:-bench/BENCH_baseline.json}"
 BIN="${BUILD_DIR}/bench/bench_micro_components"
 
 if [[ ! -x "${BIN}" ]]; then
@@ -108,19 +94,3 @@ fi
   > "${OUT}"
 
 echo "wrote ${OUT}"
-
-if [[ "${MODE}" == "compare" ]]; then
-  if [[ ! -f "${BASELINE}" ]]; then
-    echo "warning: baseline ${BASELINE} not found; skipping diff" >&2
-    exit 0
-  fi
-  # BLAZEIT_BENCH_FAIL_PCT turns the diff into a gate: exit 1 when any
-  # shared bench regresses more than that percentage (ci/check.sh sets it
-  # but treats the failure as non-gating; see compare_benchmarks.py).
-  COMPARE_ARGS=()
-  if [[ -n "${BLAZEIT_BENCH_FAIL_PCT:-}" ]]; then
-    COMPARE_ARGS+=(--fail-on-regression "${BLAZEIT_BENCH_FAIL_PCT}")
-  fi
-  python3 bench/compare_benchmarks.py \
-    ${COMPARE_ARGS[@]+"${COMPARE_ARGS[@]}"} "${BASELINE}" "${OUT}"
-fi

@@ -37,16 +37,16 @@ Matrix Linear::Infer(const Matrix& input) const {
 }
 
 Matrix Linear::Backward(const Matrix& grad_output) {
-  // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
-  Matrix dw = MatMulTransposeA(cached_input_, grad_output);
-  for (size_t i = 0; i < w_grad_.data().size(); ++i) {
-    w_grad_.data()[i] += dw.data()[i];
-  }
+  BackwardParams(grad_output);
+  return MatMulTransposeB(grad_output, w_);
+}
+
+void Linear::BackwardParams(const Matrix& grad_output) {
+  AddMatMulTransposeA(cached_input_, grad_output, &w_grad_);
   for (int r = 0; r < grad_output.rows(); ++r) {
     const float* row = grad_output.Row(r);
     for (int c = 0; c < out_dim_; ++c) b_grad_[static_cast<size_t>(c)] += row[c];
   }
-  return MatMulTransposeB(grad_output, w_);
 }
 
 std::vector<ParamRef> Linear::Params() {
@@ -75,14 +75,16 @@ Matrix ReLU::Backward(const Matrix& grad_output) {
 }
 
 Matrix Sequential::Forward(const Matrix& input) {
-  Matrix x = input;
-  for (auto& layer : layers_) x = layer->Forward(x);
+  if (layers_.empty()) return input;
+  Matrix x = layers_.front()->Forward(input);
+  for (size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->Forward(x);
   return x;
 }
 
 Matrix Sequential::Infer(const Matrix& input) const {
-  Matrix x = input;
-  for (const auto& layer : layers_) x = layer->Infer(x);
+  if (layers_.empty()) return input;
+  Matrix x = layers_.front()->Infer(input);
+  for (size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->Infer(x);
   return x;
 }
 
@@ -92,6 +94,13 @@ Matrix Sequential::Backward(const Matrix& grad_output) {
     g = (*it)->Backward(g);
   }
   return g;
+}
+
+void Sequential::BackwardParams(const Matrix& grad_output) {
+  if (layers_.empty()) return;
+  Matrix g = grad_output;
+  for (size_t i = layers_.size() - 1; i > 0; --i) g = layers_[i]->Backward(g);
+  layers_.front()->BackwardParams(g);
 }
 
 std::vector<ParamRef> Sequential::Params() {

@@ -28,6 +28,12 @@ class Layer {
   /// Given dL/d(output), accumulates parameter gradients and returns
   /// dL/d(input).
   virtual Matrix Backward(const Matrix& grad_output) = 0;
+  /// Backward for a caller that discards dL/d(input): accumulates the same
+  /// parameter gradients, bit for bit, and skips what only dL/d(input)
+  /// needs where the layer can.
+  virtual void BackwardParams(const Matrix& grad_output) {
+    Backward(grad_output);
+  }
   /// Forward math without the Backward cache; const and thread-safe.
   virtual Matrix Infer(const Matrix& input) const = 0;
   virtual std::vector<ParamRef> Params() { return {}; }
@@ -47,7 +53,10 @@ class Linear : public Layer {
   void InitHe(Rng* rng);
 
   Matrix Forward(const Matrix& input) override;
+  /// dW += X^T dY and db += colsum(dY) in place; returns dY W^T.
   Matrix Backward(const Matrix& grad_output) override;
+  /// Backward without the dY W^T product.
+  void BackwardParams(const Matrix& grad_output) override;
   Matrix Infer(const Matrix& input) const override;
   std::vector<ParamRef> Params() override;
 
@@ -86,6 +95,9 @@ class Sequential : public Layer {
 
   Matrix Forward(const Matrix& input) override;
   Matrix Backward(const Matrix& grad_output) override;
+  /// Backward through every layer but the first, whose input gradient
+  /// nobody reads: it only accumulates its parameter gradients.
+  void BackwardParams(const Matrix& grad_output) override;
   Matrix Infer(const Matrix& input) const override;
   std::vector<ParamRef> Params() override;
 

@@ -31,8 +31,11 @@ namespace matmul {
 namespace {
 
 /// Minimum multiply-add count before a GEMM is worth sharding across the
-/// pool (below this, shard bookkeeping rivals the math).
-constexpr int64_t kParallelFlops = int64_t{1} << 22;
+/// pool. A training step's GEMMs (16 x 4096 x 64 = 2^22 at the default
+/// specialized-NN shape) sit below it: at that size each shard is a few
+/// microseconds of math, and waking the pool twice per SGD step cost more
+/// than it saved. Batched inference (256 x 4096 x 64 = 2^26) shards.
+constexpr int64_t kParallelFlops = int64_t{1} << 24;
 /// Rows per shard (multiple of the 4-row kernel blocks).
 constexpr int kRowShard = 32;
 /// Columns per shard for MatMulTransposeB (multiple of the 16-wide tile).

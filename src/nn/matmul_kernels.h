@@ -9,8 +9,10 @@ namespace matmul {
 /// Raw GEMM kernels behind nn/tensor.h's MatMul entry points, runtime-
 /// dispatched across three ISA tiers — AVX-512 tiles, AVX2 tiles, and
 /// portable scalar loops (see util/cpu_features.h) — and sharded across
-/// the exec thread pool when the product is large enough to pay for it.
-/// All matrices are dense row-major float.
+/// the exec thread pool when the product is large enough to pay for it
+/// (2^24 multiply-adds and two shards' worth of output: batched inference
+/// shards, a 16-row training step's GEMMs stay serial). All matrices are
+/// dense row-major float.
 ///
 /// The SIMD tiers share one tile body per op (nn/matmul_tiles.inc:
 /// `Rows` serves MatMul and MatMulTransposeA, which differ only in how a
@@ -36,13 +38,20 @@ namespace matmul {
 /// contributions are bit-neutral (see the kernel comments), but an
 /// Inf/NaN in `b` under a zero coefficient (already-diverged training)
 /// can differ between paths.
+///
+/// MatMul and MatMulTransposeA accumulate: each cell's sum starts from
+/// c's value, so a zero-initialized `c` yields the plain product and a
+/// gradient buffer takes its contribution in place. The signed-zero
+/// argument above needs c free of -0, which holds for zero-initialized
+/// buffers and for anything these kernels wrote (a sum that starts at +0
+/// never rounds to -0).
 
-/// c[m,n] = a[m,k] * b[k,n]. `c` must be zero-initialized.
+/// c[m,n] += a[m,k] * b[k,n].
 void MatMul(const float* a, const float* b, float* c, int m, int k, int n);
 void MatMulScalar(const float* a, const float* b, float* c, int m, int k,
                   int n);
 
-/// c[m,n] = a[k,m]^T * b[k,n]. `c` must be zero-initialized.
+/// c[m,n] += a[k,m]^T * b[k,n].
 void MatMulTransposeA(const float* a, const float* b, float* c, int m, int k,
                       int n);
 void MatMulTransposeAScalar(const float* a, const float* b, float* c, int m,

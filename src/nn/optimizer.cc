@@ -1,6 +1,6 @@
 #include "nn/optimizer.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace blazeit {
 
@@ -23,13 +23,8 @@ void SgdOptimizer::Step() {
     for (size_t j = 0; j < value.size(); ++j) {
       vel[j] = m * vel[j] + grad[j];
       value[j] -= lr * vel[j];
+      grad[j] = 0.0f;
     }
-  }
-}
-
-void SgdOptimizer::ZeroGrad() {
-  for (const ParamRef& p : params_) {
-    std::fill(p.grad->begin(), p.grad->end(), 0.0f);
   }
 }
 

@@ -14,11 +14,10 @@ class SgdOptimizer {
   SgdOptimizer(std::vector<ParamRef> params, double lr,
                double momentum = 0.9);
 
-  /// Applies one update from the accumulated gradients.
+  /// Applies one update from the accumulated gradients and zeroes each
+  /// gradient as it consumes it, so the next backward pass accumulates
+  /// from zero.
   void Step();
-
-  /// Clears all gradients; call after each Step.
-  void ZeroGrad();
 
   double lr() const { return lr_; }
   void set_lr(double lr) { lr_ = lr; }

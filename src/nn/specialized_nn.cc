@@ -113,6 +113,8 @@ Result<SpecializedNN> SpecializedNN::Train(
   if (n_labeled > train_day.num_frames())
     return Status::InvalidArgument(
         "more labels than frames in the training day");
+  if (config.train.batch_size <= 0)
+    return Status::InvalidArgument("batch_size must be positive");
 
   auto impl = std::make_shared<Impl>();
   impl->config = config;
@@ -221,53 +223,72 @@ Result<SpecializedNN> SpecializedNN::Train(
   std::vector<int64_t> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::vector<SoftmaxCrossEntropy> losses(num_heads);
-  // Feature shard size for the per-batch parallel render: small because a
-  // training mini-batch is only ~16 rows; fixed so shard boundaries (and
-  // hence bits, trivially — rows are disjoint) never depend on threads.
-  constexpr int64_t kTrainRenderShard = 4;
+  // Training rows are independent, so they render ahead of the steps on
+  // the pool: one pass per block of whole mini-batches, straight into the
+  // batch matrices (disjoint rows, per-worker scratch). Rows are per-frame
+  // deterministic, so the block and shard sizes cannot change a bit. A
+  // block is eight 64-row shards, enough to balance a few workers and
+  // amortize the dispatch, and only 8 MB of input at the default shape.
+  // The SGD steps stay serial: SGD is an ordered recurrence, and a step's
+  // GEMMs are too small to shard (see nn/matmul_kernels.cc).
+  constexpr int64_t kTrainBlockRows = 512;
+  constexpr int64_t kTrainRenderShard = 64;
+  const int64_t batch_size = config.train.batch_size;
+  const int64_t block_rows =
+      std::max<int64_t>(1, kTrainBlockRows / batch_size) * batch_size;
+  std::vector<Matrix> xs;  // the current block's mini-batches
+  std::vector<std::vector<int>> y(num_heads);
 
   for (int epoch = 0; epoch < config.train.epochs; ++epoch) {
     std::shuffle(order.begin(), order.end(), rng.engine());
     double epoch_loss = 0.0;
     int64_t batches = 0;
-    for (int64_t start = 0; start < n; start += config.train.batch_size) {
-      const int batch = static_cast<int>(
-          std::min<int64_t>(config.train.batch_size, n - start));
-      Matrix x(batch, impl->input_dim);
-      std::vector<std::vector<int>> y(num_heads,
-                                      std::vector<int>(static_cast<size_t>(batch)));
-      // Rendering the batch rows dominates a training step; shard it
-      // across the pool (disjoint Matrix rows, per-worker scratch). The
-      // SGD step itself stays serial — its GEMMs shard internally.
+    for (int64_t block = 0; block < n; block += block_rows) {
+      const int64_t rows = std::min(block_rows, n - block);
+      xs.resize(static_cast<size_t>((rows + batch_size - 1) / batch_size));
+      for (size_t b = 0; b < xs.size(); ++b) {
+        const int batch = static_cast<int>(std::min<int64_t>(
+            batch_size, rows - static_cast<int64_t>(b) * batch_size));
+        if (xs[b].rows() != batch) xs[b] = Matrix(batch, impl->input_dim);
+      }
       exec::FramePipeline::Run(
-          batch, kTrainRenderShard,
+          rows, kTrainRenderShard,
           [&](int64_t rb, int64_t re, exec::FramePipeline::Scratch* scratch) {
             for (int64_t i = rb; i < re; ++i) {
               size_t pos =
-                  static_cast<size_t>(order[static_cast<size_t>(start + i)]);
-              RenderFrameFeatures(train_day, indices[pos], config.raster_width,
-                                  config.raster_height,
-                                  x.Row(static_cast<int>(i)), &scratch->image);
+                  static_cast<size_t>(order[static_cast<size_t>(block + i)]);
+              RenderFrameFeatures(
+                  train_day, indices[pos], config.raster_width,
+                  config.raster_height,
+                  xs[static_cast<size_t>(i / batch_size)].Row(
+                      static_cast<int>(i % batch_size)),
+                  &scratch->image);
             }
           });
-      for (int i = 0; i < batch; ++i) {
-        size_t pos = static_cast<size_t>(order[static_cast<size_t>(start + i)]);
-        for (size_t h = 0; h < num_heads; ++h)
-          y[h][static_cast<size_t>(i)] = clamped[h][pos];
+      for (size_t b = 0; b < xs.size(); ++b) {
+        const Matrix& x = xs[b];
+        const int64_t start = block + static_cast<int64_t>(b) * batch_size;
+        for (size_t h = 0; h < num_heads; ++h) {
+          y[h].resize(static_cast<size_t>(x.rows()));
+          for (int i = 0; i < x.rows(); ++i) {
+            size_t pos =
+                static_cast<size_t>(order[static_cast<size_t>(start + i)]);
+            y[h][static_cast<size_t>(i)] = clamped[h][pos];
+          }
+        }
+        Matrix trunk_out = impl->trunk->Forward(x);
+        Matrix dtrunk(trunk_out.rows(), trunk_out.cols());
+        for (size_t h = 0; h < num_heads; ++h) {
+          Matrix logits = impl->heads[h]->Forward(trunk_out);
+          epoch_loss += losses[h].Forward(logits, y[h]);
+          Matrix dhead = impl->heads[h]->Backward(losses[h].Backward());
+          for (size_t j = 0; j < dtrunk.data().size(); ++j)
+            dtrunk.data()[j] += dhead.data()[j];
+        }
+        impl->trunk->BackwardParams(dtrunk);
+        opt.Step();
+        ++batches;
       }
-      Matrix trunk_out = impl->trunk->Forward(x);
-      Matrix dtrunk(trunk_out.rows(), trunk_out.cols());
-      for (size_t h = 0; h < num_heads; ++h) {
-        Matrix logits = impl->heads[h]->Forward(trunk_out);
-        epoch_loss += losses[h].Forward(logits, y[h]);
-        Matrix dhead = impl->heads[h]->Backward(losses[h].Backward());
-        for (size_t j = 0; j < dtrunk.data().size(); ++j)
-          dtrunk.data()[j] += dhead.data()[j];
-      }
-      impl->trunk->Backward(dtrunk);
-      opt.Step();
-      opt.ZeroGrad();
-      ++batches;
     }
     BLAZEIT_LOG(kDebug) << "specialized NN epoch " << epoch << " loss "
                         << (batches ? epoch_loss / batches : 0.0);

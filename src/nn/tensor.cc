@@ -24,13 +24,19 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 }
 
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
-  BLAZEIT_CHECK(a.rows() == b.rows())
-      << " — MatMulTransposeA shape mismatch: [" << a.rows() << ","
-      << a.cols() << "]^T x [" << b.rows() << "," << b.cols() << "]";
   Matrix c(a.cols(), b.cols());
-  matmul::MatMulTransposeA(a.data().data(), b.data().data(), c.data().data(),
-                           a.cols(), a.rows(), b.cols());
+  AddMatMulTransposeA(a, b, &c);
   return c;
+}
+
+void AddMatMulTransposeA(const Matrix& a, const Matrix& b, Matrix* c) {
+  BLAZEIT_CHECK(a.rows() == b.rows() && c->rows() == a.cols() &&
+                c->cols() == b.cols())
+      << " — MatMulTransposeA shape mismatch: [" << a.rows() << ","
+      << a.cols() << "]^T x [" << b.rows() << "," << b.cols() << "] into ["
+      << c->rows() << "," << c->cols() << "]";
+  matmul::MatMulTransposeA(a.data().data(), b.data().data(), c->data().data(),
+                           a.cols(), a.rows(), b.cols());
 }
 
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {

@@ -50,8 +50,12 @@ class Matrix {
 /// C = A * B. Shapes: [m,k] x [k,n] -> [m,n].
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B. Shapes: [k,m] x [k,n] -> [m,n]. Used for weight gradients.
+/// C = A^T * B. Shapes: [k,m] x [k,n] -> [m,n].
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
+
+/// *c += A^T * B, accumulated in place (each cell's sum starts from its
+/// current value; see nn/matmul_kernels.h). Used for weight gradients.
+void AddMatMulTransposeA(const Matrix& a, const Matrix& b, Matrix* c);
 
 /// C = A * B^T. Shapes: [m,k] x [n,k] -> [m,n]. Used for input gradients.
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);

@@ -51,8 +51,7 @@ Result<double> TrainClassifier(Sequential* model, const FeatureFn& features,
       Matrix logits = model->Forward(x);
       epoch_loss += loss_fn.Forward(logits, y);
       ++batches;
-      opt.ZeroGrad();
-      model->Backward(loss_fn.Backward());
+      model->BackwardParams(loss_fn.Backward());
       opt.Step();
     }
     final_epoch_loss = batches > 0 ? epoch_loss / batches : 0.0;

@@ -29,11 +29,11 @@ using FeatureFn = std::function<std::vector<float>(int64_t index)>;
 /// Trains `model` (logits out) against integer labels with softmax
 /// cross-entropy. Returns the mean loss over the final epoch.
 ///
-/// Threading: the batch loop is serial (FeatureFn closures are not
-/// required to be thread-safe, and SGD is an ordered recurrence), but the
-/// forward/backward GEMMs inside shard across the exec pool — see
-/// nn/matmul_kernels.h — so training still scales with BLAZEIT_THREADS
-/// without changing a single output bit.
+/// Threading: serial. FeatureFn closures are not required to be
+/// thread-safe, SGD is an ordered recurrence, and a mini-batch step's
+/// GEMMs are too small to pay for a pool dispatch (see
+/// nn/matmul_kernels.h). SpecializedNN::Train renders its training rows in
+/// parallel blocks ahead of the same serial steps.
 Result<double> TrainClassifier(Sequential* model, const FeatureFn& features,
                                const std::vector<int>& labels, int input_dim,
                                const TrainConfig& config);

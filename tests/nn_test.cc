@@ -121,8 +121,7 @@ TEST(SgdTest, StepMovesAgainstGradient) {
   SgdOptimizer opt({{&w, &g}}, /*lr=*/0.1, /*momentum=*/0.0);
   opt.Step();
   EXPECT_NEAR(w[0], 0.95f, 1e-6);
-  opt.ZeroGrad();
-  EXPECT_EQ(g[0], 0.0f);
+  EXPECT_EQ(g[0], 0.0f);  // Step consumes the gradient
 }
 
 TEST(SgdTest, MomentumAccumulates) {
@@ -130,8 +129,42 @@ TEST(SgdTest, MomentumAccumulates) {
   std::vector<float> g = {1.0f};
   SgdOptimizer opt({{&w, &g}}, 0.1, 0.9);
   opt.Step();  // v=1, w=-0.1
+  g[0] = 1.0f;
   opt.Step();  // v=1.9, w=-0.29
   EXPECT_NEAR(w[0], -0.29f, 1e-5);
+  opt.Step();  // no new gradient: v=1.71, w=-0.461
+  EXPECT_NEAR(w[0], -0.461f, 1e-5);
+}
+
+// Sequential::BackwardParams skips the first layer's input gradient and
+// nothing else: every parameter gradient matches a full Backward bit for
+// bit, including the first layer's, which it accumulates in place.
+TEST(SequentialTest, BackwardParamsMatchesFullBackward) {
+  Rng data_rng(5);
+  Matrix x(6, 10);
+  for (float& v : x.data()) v = static_cast<float>(data_rng.Normal(0, 1));
+  Matrix dy(6, 3);
+  for (float& v : dy.data()) v = static_cast<float>(data_rng.Normal(0, 1));
+  Rng init_full(9), init_params(9);
+  auto full = BuildMlp(10, {8, 8}, 3, &init_full);
+  auto params_only = BuildMlp(10, {8, 8}, 3, &init_params);
+  // Two steps, so the second accumulates onto the first's gradients.
+  for (int step = 0; step < 2; ++step) {
+    full->Forward(x);
+    full->Backward(dy);
+    params_only->Forward(x);
+    params_only->BackwardParams(dy);
+  }
+  std::vector<ParamRef> want = full->Params();
+  std::vector<ParamRef> got = params_only->Params();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t p = 0; p < want.size(); ++p) {
+    SCOPED_TRACE(::testing::Message() << "param " << p);
+    EXPECT_EQ(*want[p].grad, *got[p].grad);
+    bool nonzero = false;
+    for (float v : *got[p].grad) nonzero = nonzero || v != 0.0f;
+    EXPECT_TRUE(nonzero);
+  }
 }
 
 TEST(TrainerTest, LearnsLinearlySeparableTask) {

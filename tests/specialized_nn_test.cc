@@ -11,6 +11,7 @@
 
 #include "core/labeled_set.h"
 #include "detect/simulated_detector.h"
+#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "stats/online_stats.h"
 #include "video/datasets.h"
@@ -289,6 +290,28 @@ TEST_F(SpecializedNNTest, ColdTrainingWeightsMatchGolden) {
   const std::vector<float>& blob = cache.blobs().begin()->second;
   EXPECT_EQ(blob.size(), 33447u);
   EXPECT_EQ(Fingerprint().MixRange(blob).value(), 0x4fab05dfcf2dc441ull);
+}
+
+// The default shape (32x32 raster, 64 hidden units, batch 16) is the one
+// engine queries train, and its step GEMMs are the largest a training
+// step makes: pinned at a serial and a 4-thread pool, so neither how the
+// training rows are rendered nor whether a GEMM shards can move a bit.
+TEST_F(SpecializedNNTest, DefaultShapeColdTrainingMatchesGoldenAtAnyPoolSize) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    exec::ThreadPool::Instance().Reconfigure(threads);
+    SpecializedNNConfig cfg;
+    testutil::MapCache cache;
+    cfg.cache = &cache;
+    BLAZEIT_ASSERT_OK(
+        SpecializedNN::Train(*video_, {labels_->Counts(kCar)}, cfg));
+    ASSERT_EQ(cache.blobs().size(), 1u);
+    const std::vector<float>& blob = cache.blobs().begin()->second;
+    EXPECT_EQ(blob.size(), 262533u);  // 4096x64 trunk, 5-class car head
+    EXPECT_EQ(Fingerprint().MixRange(blob).value(), 0x58234c3687345193ull);
+  }
+  exec::ThreadPool::Instance().Reconfigure(
+      exec::ThreadPool::ThreadsFromEnv());
 }
 
 // A cached weight blob yields the cold model exactly: loading it skips

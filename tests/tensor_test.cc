@@ -94,7 +94,7 @@ TEST(MatMulDeathTest, TransposeBMismatchAborts) {
 // scalar fallbacks — the persistent artifact store replays NN outputs
 // across machines with different ISAs. Shapes cover SIMD tile tails
 // (n % 16, m % 4) and exact-zero coefficients (ReLU activations); the
-// last shape of each list is above the sharding threshold (m*k*n >= 2^22,
+// last shape of each list is above the sharding threshold (m*k*n >= 2^24,
 // span >= two shards, ragged last shard), so the pool-sharded
 // decomposition is pinned against the single-range scalar kernel too.
 class MatMulParityTest : public ::testing::Test {
@@ -123,7 +123,7 @@ TEST_F(MatMulParityTest, MatMulMatchesScalar) {
   Rng rng(21);
   constexpr int kShapes[][3] = {{1, 1, 1},   {2, 3, 4},    {4, 16, 16},
                                 {5, 7, 3},   {7, 33, 17},  {8, 64, 64},
-                                {9, 100, 65}, {16, 256, 8}, {97, 512, 96}};
+                                {9, 100, 65}, {16, 256, 8}, {97, 2048, 96}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, m, k, zf);
@@ -142,7 +142,7 @@ TEST_F(MatMulParityTest, TransposeAMatchesScalar) {
   Rng rng(22);
   constexpr int kShapes[][3] = {{1, 1, 1},  {3, 2, 4},   {16, 4, 16},
                                 {7, 5, 3},  {33, 7, 17}, {64, 8, 64},
-                                {100, 9, 65}, {97, 512, 96}};
+                                {100, 9, 65}, {97, 2048, 96}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, k, m, zf);
@@ -161,7 +161,7 @@ TEST_F(MatMulParityTest, TransposeBMatchesScalar) {
   Rng rng(23);
   constexpr int kShapes[][3] = {{1, 1, 1},  {3, 4, 2},   {16, 16, 4},
                                 {7, 3, 5},  {33, 17, 7}, {64, 64, 8},
-                                {100, 65, 9}, {64, 512, 136}};
+                                {100, 65, 9}, {64, 2048, 136}};
   for (auto [m, k, n] : kShapes) {
     for (double zf : {0.0, 0.5}) {
       Matrix a = RandomMatrix(&rng, m, k, zf);
@@ -173,6 +173,35 @@ TEST_F(MatMulParityTest, TransposeBMatchesScalar) {
                    << m << "x" << k << "x" << n << " zeros " << zf);
       ExpectBitIdentical(want, MatMulTransposeB(a, b));
     }
+  }
+}
+
+// MatMul and MatMulTransposeA accumulate onto c (the weight-gradient
+// path adds X^T dY into the gradient buffer in place): from a nonzero c,
+// every tier and the sharded decomposition still match the scalar kernel.
+TEST_F(MatMulParityTest, AccumulatesOntoExistingValues) {
+  Rng rng(24);
+  constexpr int kShapes[][3] = {{5, 7, 3}, {9, 100, 65}, {97, 2048, 96}};
+  for (auto [m, k, n] : kShapes) {
+    SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+    const Matrix c0 = RandomMatrix(&rng, m, n, 0.0);
+    const Matrix a = RandomMatrix(&rng, m, k, 0.5);
+    const Matrix at = RandomMatrix(&rng, k, m, 0.5);
+    const Matrix b = RandomMatrix(&rng, k, n, 0.0);
+    Matrix want = c0;
+    matmul::MatMulScalar(a.data().data(), b.data().data(),
+                         want.data().data(), m, k, n);
+    Matrix got = c0;
+    matmul::MatMul(a.data().data(), b.data().data(), got.data().data(), m, k,
+                   n);
+    ExpectBitIdentical(want, got);
+
+    want = c0;
+    matmul::MatMulTransposeAScalar(at.data().data(), b.data().data(),
+                                   want.data().data(), m, k, n);
+    got = c0;
+    AddMatMulTransposeA(at, b, &got);
+    ExpectBitIdentical(want, got);
   }
 }
 
