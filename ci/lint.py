@@ -25,6 +25,11 @@ bodies such as nn/matmul_tiles.inc) files of src/ and tests/:
   include-guard   Every header uses a BLAZEIT_<PATH>_H_ include guard
                   matching its path (.h only: an .inc is meant to be
                   included more than once).
+  flight-record   FlightRecorder::Global().Record( appears only in the
+                  engine's RecordFlight helper (src/core/engine.cc), so
+                  every entry point records its queries the same way and
+                  none can skip the recorder or record a query twice. No
+                  escape hatch: route new recording through RecordFlight.
 
 Escape hatches (must be on the offending line, visible to reviewers):
     // lint:allow-bare-assert <reason>
@@ -62,6 +67,9 @@ WALLCLOCK_ALLOWED_PREFIXES = (
     "tests/",
 )
 
+# The one file allowed to write the process-wide flight recorder.
+FLIGHT_RECORD_ALLOWED = {"src/core/engine.cc"}
+
 BARE_ASSERT_RE = re.compile(r"(?<![A-Za-z0-9_])assert\s*\(")
 RAW_MUTEX_RE = re.compile(
     r"std::(mutex|shared_mutex|recursive_mutex|timed_mutex|"
@@ -70,6 +78,8 @@ RAW_MUTEX_RE = re.compile(
 )
 RAND_RE = re.compile(r"(?<![A-Za-z0-9_])s?rand\s*\(")
 WALLCLOCK_RE = re.compile(r"system_clock|(?<![A-Za-z0-9_])time\s*\(\s*(nullptr|NULL|0)\s*\)")
+FLIGHT_RECORD_RE = re.compile(
+    r"FlightRecorder\s*::\s*Global\s*\(\s*\)\s*\.\s*Record\s*\(")
 # A *Locked function declaration/definition: an identifier ending in
 # "Locked" followed by "(", preceded on the same line by something that
 # reads like a type token (so call sites — `return FooLocked(...)`,
@@ -183,6 +193,13 @@ def lint_file(rel_path, text):
                     "wall-clock read in a deterministic path; use the "
                     "virtual clock / steady_clock, or tag "
                     "// lint:allow-wallclock <reason>"))
+
+        if (FLIGHT_RECORD_RE.search(code)
+                and rel_path not in FLIGHT_RECORD_ALLOWED):
+            findings.append(Finding(
+                rel_path, i, "flight-record",
+                "only RecordFlight (src/core/engine.cc) writes the global "
+                "flight recorder; call RecordFlight instead"))
 
     # --- *Locked annotation rule (aggregated per function name) --------
     findings.extend(lint_locked_contracts(rel_path, lines))

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "core/scheduler.h"
 #include "core/shared_sweep.h"
 #include "exec/thread_pool.h"
 #include "filters/calibration.h"
@@ -44,36 +43,6 @@ SketchProbe ProbeForQuery(const StreamData& stream,
 }
 
 }  // namespace
-
-std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
-    const StreamData& stream, FrameWindow window, const SketchProbe& probe,
-    bool use_store_index, obs::SketchStats* sketch) {
-  const bool consulted = use_store_index && stream.detection_store != nullptr;
-  std::vector<SketchIndex::FrameRange> ranges;
-  bool pruned = false;
-  if (consulted) {
-    SketchIndex index = SketchIndex::Load(stream.detection_store,
-                                          stream.test_detections_ns);
-    if (index.valid()) {
-      ranges = index.CandidateRanges(window.begin, window.end, probe);
-      pruned = true;
-    }
-  }
-  if (!pruned && window.end > window.begin) {
-    ranges.push_back({window.begin, window.end});
-  }
-  if (sketch != nullptr) {
-    sketch->consulted = consulted;
-    sketch->pruned = pruned;
-    sketch->window_frames =
-        window.end > window.begin ? window.end - window.begin : 0;
-    sketch->candidate_frames = 0;
-    for (const auto& range : ranges) {
-      sketch->candidate_frames += range.end - range.begin;
-    }
-  }
-  return ranges;
-}
 
 BlazeItEngine::BlazeItEngine(VideoCatalog* catalog, EngineOptions options)
     : catalog_(catalog), options_(options) {
@@ -145,59 +114,175 @@ Result<PreparedQuery> BlazeItEngine::Prepare(const std::string& frameql,
     BLAZEIT_ASSIGN_OR_RETURN(
         prepared.query, AnalyzeQuery(parsed, prepared.stream->config));
   }
-  prepared.correlation_id = obs::FlightRecorder::NextCorrelationId();
   return prepared;
 }
 
-Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
-  const auto started = std::chrono::steady_clock::now();
-  std::shared_ptr<obs::QueryTrace> trace;
+ScheduledQuery BlazeItEngine::Admit(const std::string& frameql,
+                                    size_t position) {
+  ScheduledQuery admitted;
+  admitted.frameql = frameql;
   if (options_.collect_reports) {
-    trace = std::make_shared<obs::QueryTrace>(frameql);
+    admitted.trace = std::make_shared<obs::QueryTrace>(frameql);
   }
-  Result<PreparedQuery> prepared = Prepare(frameql, trace.get());
-  Result<QueryOutput> result = [&]() -> Result<QueryOutput> {
-    BLAZEIT_RETURN_NOT_OK(prepared.status());
-    SweepCacheView cache(/*shared=*/nullptr,
-                         prepared.value().stream->artifact_cache);
-    return ExecutePrepared(prepared.value(), &cache, frameql, trace);
-  }();
+  admitted.prepared = Prepare(frameql, admitted.trace.get());
+  admitted.correlation_id = obs::FlightRecorder::NextCorrelationId();
+  if (admitted.prepared.ok()) {
+    admitted.group_key =
+        SharedSweepGroupKey(admitted.prepared.value().query, position);
+  }
+  return admitted;
+}
 
-  // Flight-record the completed query (observe-only; outputs unchanged).
+void RecordFlight(const ScheduledQuery& query,
+                  const Result<QueryOutput>& result, bool degraded,
+                  double wall_ms) {
   obs::FlightRecord record;
-  record.correlation_id = prepared.ok()
-                              ? prepared.value().correlation_id
-                              : obs::FlightRecorder::NextCorrelationId();
-  record.query = frameql;
-  record.accuracy_tier = "full";
+  record.correlation_id = query.correlation_id;
+  record.client = query.client;
+  record.query = query.frameql;
+  record.trace = query.trace;
+  record.degraded = degraded;
+  record.wall_ms = wall_ms;
   record.ok = result.ok();
   if (result.ok()) {
     record.plan = PlanKindName(result.value().plan);
     record.cost_seconds = result.value().cost.TotalSeconds();
-    record.trace = result.value().report != nullptr
-                       ? result.value().report->trace
-                       : trace;
+    if (result.value().report != nullptr) {
+      record.accuracy_tier = result.value().report->accuracy_tier;
+    }
   } else {
     record.error = result.status().ToString();
-    record.trace = trace;
   }
-  record.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - started)
-                       .count();
+  if (record.accuracy_tier.empty()) {
+    record.accuracy_tier = degraded ? "degraded" : "full";
+  }
   obs::FlightRecorder::Global().Record(std::move(record));
-  return result;
+}
+
+Result<QueryOutput> BlazeItEngine::Execute(const std::string& frameql) {
+  std::vector<ScheduledQuery> query;
+  query.push_back(Admit(frameql, /*position=*/0));
+  BatchOutput run = RunScheduled(std::move(query), /*sweeps=*/nullptr,
+                                 exec::ThreadPool::Budget::kDefault);
+  return std::move(run.results.front());
+}
+
+Result<BatchOutput> BlazeItEngine::ExecuteBatch(
+    const std::vector<std::string>& queries) {
+  std::vector<ScheduledQuery> admitted;
+  admitted.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    admitted.push_back(Admit(queries[i], i));
+  }
+  // The batch's sweeps live exactly as long as this call.
+  SharedSweepCache sweeps;
+  return RunScheduled(std::move(admitted), &sweeps,
+                      exec::ThreadPool::Budget::kAnalytics);
+}
+
+BatchOutput BlazeItEngine::RunScheduled(std::vector<ScheduledQuery> queries,
+                                        SharedSweepCache* sweeps,
+                                        exec::ThreadPool::Budget budget,
+                                        const ResultCallback& on_result) {
+  const auto started = std::chrono::steady_clock::now();
+  const size_t n = queries.size();
+  BatchOutput out;
+  out.results.assign(
+      n, Result<QueryOutput>(Status::Internal("query not executed")));
+  out.stats.assign(n, BatchQueryStats{});
+  auto complete = [&](size_t idx) {
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - started)
+                               .count();
+    RecordFlight(queries[idx], out.results[idx], /*degraded=*/false, wall_ms);
+    if (on_result) on_result(idx, out.results[idx], out.stats[idx]);
+  };
+
+  // --- shared-plan pass: group by the admitted group key ---
+  // Groups keep first-appearance order and queries keep submission order
+  // within a group, so the leader of each group — the query that pays for
+  // the group's training run and sweeps — is always the earliest one.
+  // Prepare errors complete here and join no group.
+  std::vector<std::vector<size_t>> groups;
+  std::unordered_map<uint64_t, size_t> key_to_group;
+  for (size_t i = 0; i < n; ++i) {
+    if (!queries[i].prepared.ok()) {
+      out.results[i] = queries[i].prepared.status();
+      complete(i);
+      continue;
+    }
+    auto [it, inserted] = key_to_group.emplace(queries[i].group_key,
+                                               groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  out.groups = static_cast<int64_t>(groups.size());
+
+  // --- run the groups concurrently, each group serially ---
+  // Per-query results/stats go to disjoint slots; per-query outputs are
+  // independent of scheduling because every cache hit is bit-identical to
+  // recomputation (the ArtifactCache contract), so this parallelism — like
+  // the exec pool's — cannot change output bits.
+  //
+  // Parallelism shape: with a single group (always so for Execute)
+  // RunShards executes inline on the caller (no nested-section marking),
+  // so the group's NN training/inference keeps full intra-query sharding.
+  // With multiple groups the pool parallelizes *across* groups and each
+  // query's inner parallel sections run inline on that group's worker —
+  // batch-level concurrency replaces intra-query concurrency, keeping
+  // total CPU use bounded by the one process-wide pool.
+  exec::ThreadPool::Instance().RunShards(
+      static_cast<int64_t>(groups.size()),
+      [&](int64_t g, int /*slot*/) {
+        for (size_t idx : groups[static_cast<size_t>(g)]) {
+          const ScheduledQuery& q = queries[idx];
+          SweepCacheView view(sweeps,
+                              q.prepared.value().stream->artifact_cache);
+          Result<QueryOutput> result = ExecutePrepared(q, &view);
+          // Stats are filled only for successful queries (the documented
+          // all-zero contract for failures).
+          if (result.ok()) {
+            BatchQueryStats& qs = out.stats[idx];
+            qs.group = g;
+            qs.shared_nn_frames = view.stats().shared_nn_frames;
+            qs.shared_filter_frames = view.stats().shared_filter_frames;
+            qs.shared_models = view.stats().shared_models;
+            if (sweeps != nullptr && result.value().report != nullptr) {
+              result.value().report->batch_group = g;
+            }
+            const CostMeter& cost = result.value().cost;
+            qs.standalone_seconds = cost.TotalSeconds();
+            double saved = static_cast<double>(qs.shared_nn_frames) *
+                               cost.profile().specialized_nn_sec_per_frame +
+                           static_cast<double>(qs.shared_filter_frames) *
+                               cost.profile().filter_sec_per_frame;
+            if (qs.shared_models > 0) saved += cost.training_seconds();
+            qs.batch_seconds = std::max(0.0, qs.standalone_seconds - saved);
+          }
+          out.results[idx] = std::move(result);
+          complete(idx);
+        }
+      },
+      budget);
+
+  // Serial fixed-order fold for the totals.
+  for (const BatchQueryStats& qs : out.stats) {
+    out.standalone_seconds += qs.standalone_seconds;
+    out.batch_seconds += qs.batch_seconds;
+  }
+  return out;
 }
 
 Result<QueryOutput> BlazeItEngine::ExecutePrepared(
-    const PreparedQuery& prepared, SweepCacheView* cache,
-    const std::string& frameql, std::shared_ptr<obs::QueryTrace> trace) {
+    const ScheduledQuery& scheduled, SweepCacheView* cache) {
+  const PreparedQuery& prepared = scheduled.prepared.value();
   StreamData* stream = prepared.stream;
   const AnalyzedQuery& query = prepared.query;
+  const std::shared_ptr<obs::QueryTrace>& trace = scheduled.trace;
   std::shared_ptr<obs::ExecutionReport> report;
   if (options_.collect_reports) {
     report = std::make_shared<obs::ExecutionReport>();
-    report->query = frameql;
-    if (trace == nullptr) trace = std::make_shared<obs::QueryTrace>(frameql);
+    report->query = scheduled.frameql;
   }
 
   PlanChoice plan;
@@ -205,7 +290,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
     obs::TraceSpan span(trace.get(), "optimize");
     plan = ChoosePlan(query, stream);
   }
-  BLAZEIT_LOG(kDebug).Field("cid", prepared.correlation_id)
+  BLAZEIT_LOG(kDebug).Field("cid", scheduled.correlation_id)
       << "plan: " << PlanKindName(plan.kind) << " — " << plan.rationale;
 
   QueryOutput out;
@@ -257,12 +342,7 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
                          window));
         out.frames = scrub.frames;
         out.cost = scrub.cost;
-        if (report != nullptr) {
-          report->sketch.consulted = scrub.sketch_consulted;
-          report->sketch.pruned = scrub.sketch_pruned;
-          report->sketch.window_frames = scrub.sketch_window_frames;
-          report->sketch.candidate_frames = scrub.sketch_candidate_frames;
-        }
+        if (report != nullptr) report->sketch = scrub.sketch;
         return out;
       }
       case QueryKind::kSelection: {
@@ -493,63 +573,6 @@ Result<QueryOutput> BlazeItEngine::ExecuteFullScan(
       }
       if (any) out.frames.push_back(t);
     }
-  }
-  return out;
-}
-
-Result<BatchOutput> BlazeItEngine::ExecuteBatch(
-    const std::vector<std::string>& queries) {
-  const size_t n = queries.size();
-  BatchOutput out;
-  out.results.assign(
-      n, Result<QueryOutput>(Status::Internal("query not executed")));
-  out.stats.assign(n, BatchQueryStats{});
-
-  // --- front half of every query: parse, bind, analyze ---
-  // One trace per query, created up front so the serial front half's
-  // spans land on it; per-query traces are what keeps batch tracing free
-  // of cross-query bleed (each trace is only ever written by the one
-  // thread executing its query). Group keys are derived from the *batch*
-  // position — failed prepares hold their slot so key uniqueness (and
-  // therefore grouping) is unchanged by where errors land.
-  std::vector<ScheduledQuery> scheduled;
-  std::vector<size_t> slots;  // scheduled index -> batch index
-  scheduled.reserve(n);
-  slots.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::shared_ptr<obs::QueryTrace> trace;
-    if (options_.collect_reports) {
-      trace = std::make_shared<obs::QueryTrace>(queries[i]);
-    }
-    auto p = Prepare(queries[i], trace.get());
-    if (!p.ok()) {
-      out.results[i] = p.status();
-      continue;
-    }
-    ScheduledQuery sq;
-    sq.prepared = std::move(p).value();
-    sq.frameql = queries[i];
-    sq.trace = std::move(trace);
-    sq.group_key = SharedSweepGroupKey(sq.prepared.query, i);
-    scheduled.push_back(std::move(sq));
-    slots.push_back(i);
-  }
-
-  // --- grouping + shared-sweep execution live in QueryScheduler, whose
-  // sweeps live exactly as long as this batch ---
-  QueryScheduler scheduler(this);
-  ScheduleOutcome run =
-      scheduler.Run(scheduled, exec::ThreadPool::Budget::kAnalytics);
-  out.groups = run.groups;
-  for (size_t j = 0; j < scheduled.size(); ++j) {
-    out.stats[slots[j]] = run.stats[j];
-    out.results[slots[j]] = std::move(run.results[j]);
-  }
-
-  // Serial fixed-order fold for the totals.
-  for (size_t i = 0; i < n; ++i) {
-    out.standalone_seconds += out.stats[i].standalone_seconds;
-    out.batch_seconds += out.stats[i].batch_seconds;
   }
   return out;
 }

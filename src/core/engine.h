@@ -1,6 +1,7 @@
 #ifndef BLAZEIT_CORE_ENGINE_H_
 #define BLAZEIT_CORE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,15 +12,15 @@
 #include "core/scrubbing.h"
 #include "core/selection.h"
 #include "core/udf.h"
+#include "exec/thread_pool.h"
 #include "obs/report.h"
 #include "sim/cost_model.h"
-#include "storage/segment_sketch.h"
 #include "util/status.h"
 
 namespace blazeit {
 
-class QueryScheduler;  // core/scheduler.h
-class SweepCacheView;  // core/shared_sweep.h
+class SharedSweepCache;  // core/shared_sweep.h
+class SweepCacheView;    // core/shared_sweep.h
 
 /// Per-query execution options forwarded to the executors.
 struct EngineOptions {
@@ -69,11 +70,12 @@ struct QueryOutput {
   std::shared_ptr<obs::ExecutionReport> report;
 };
 
-/// Per-query diagnostics of one ExecuteBatch call. The per-query
-/// QueryOutput (including its CostMeter) is bit-identical to a standalone
-/// Execute; these stats record what the batch layer *actually* spent on
-/// top of that accounting — i.e. which charged NN work was served from
-/// another query's sweep instead of being recomputed.
+/// Per-query diagnostics of one RunScheduled call (an ExecuteBatch call or
+/// a serving window). The per-query QueryOutput (including its CostMeter)
+/// is bit-identical to a standalone Execute; these stats record what the
+/// batch layer *actually* spent on top of that accounting — i.e. which
+/// charged NN work was served from another query's sweep instead of being
+/// recomputed.
 struct BatchQueryStats {
   /// Shared-plan group this query executed in (index into the batch's
   /// first-appearance group order).
@@ -93,7 +95,7 @@ struct BatchQueryStats {
   double batch_seconds = 0.0;
 };
 
-/// Result of BlazeItEngine::ExecuteBatch.
+/// Result of BlazeItEngine::RunScheduled (and so of ExecuteBatch).
 struct BatchOutput {
   /// One entry per input query, in input order. Failures (parse errors,
   /// unknown streams, executor errors) land here per query, exactly as the
@@ -111,31 +113,43 @@ struct BatchOutput {
   double batch_seconds = 0.0;
 };
 
-/// A parsed + analyzed query bound to its stream, ready to execute — the
-/// front half of Execute, split out so schedulers (QueryScheduler, the
-/// serving layer's AdmissionQueue) can prepare queries at admission time
-/// and execute them later.
+/// A parsed + analyzed query bound to its stream, ready to execute.
 struct PreparedQuery {
   StreamData* stream = nullptr;
   AnalyzedQuery query;
-  /// Process-unique id minted at Prepare time, threaded through log lines
-  /// (cid=N fields) and the flight recorder so one query's lifecycle can
-  /// be grepped end to end. Never part of query outputs or reports — ids
-  /// differ across runs, and outputs must not.
-  int64_t correlation_id = -1;
 };
 
-/// Candidate subranges of `window` under the stream's sketch index for
-/// `probe`, or the whole window (nothing when it is empty) when
-/// `use_store_index` is off, the stream has no store, or no current index
-/// exists. `sketch` (nullable) receives the consultation outcome for the
-/// query's ExecutionReport. The one front end of the sketch-pruned scans
-/// (full scan, count-distinct, the serving layer's load-shed scan);
-/// scrubbing loads the index itself, because it reuses it for its
-/// density-first order.
-std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
-    const StreamData& stream, FrameWindow window, const SketchProbe& probe,
-    bool use_store_index, obs::SketchStats* sketch);
+/// One admitted query (BlazeItEngine::Admit), held until RunScheduled
+/// executes it. A prepare error stays in `prepared`, so it lands in the
+/// query's own result slot — where a serial Execute reports it.
+struct ScheduledQuery {
+  Result<PreparedQuery> prepared{Status::Internal("query not admitted")};
+  /// Original query text (feeds ExecutionReports and the flight record).
+  std::string frameql;
+  /// Per-query trace (null unless collect_reports). Only ever written by
+  /// the one thread executing this query, which is what keeps batch
+  /// tracing free of cross-query bleed.
+  std::shared_ptr<obs::QueryTrace> trace;
+  /// Process-unique id minted at admission (prepare errors too), threaded
+  /// through log lines (cid=N fields) and the flight recorder so one
+  /// query's lifecycle can be grepped end to end. Never part of query
+  /// outputs or reports — ids differ across runs, and outputs must not.
+  int64_t correlation_id = -1;
+  /// SharedSweepGroupKey(query, <admission position>); 0 on a prepare
+  /// error, which joins no group.
+  uint64_t group_key = 0;
+  /// Serving tenant, for the flight record; empty outside serving.
+  std::string client;
+};
+
+/// Flight-records one finished query in obs::FlightRecorder::Global() —
+/// the recorder's only writer. `degraded` marks a load-shed run; the
+/// accuracy tier is the report's when there is one, else "full" (or
+/// "degraded"). Observe-only: ids and wall times never feed back into
+/// outputs or reports.
+void RecordFlight(const ScheduledQuery& query,
+                  const Result<QueryOutput>& result, bool degraded,
+                  double wall_ms);
 
 /// The BlazeIt engine: the public entry point tying everything together.
 /// Parse -> analyze -> rule-based plan choice -> execute (Figure 2).
@@ -154,15 +168,13 @@ class BlazeItEngine {
   BlazeItEngine(const BlazeItEngine&) = delete;
   BlazeItEngine& operator=(const BlazeItEngine&) = delete;
 
-  /// Parses, optimizes, and executes one FrameQL query.
+  /// Parses, optimizes, and executes one FrameQL query: a run of one
+  /// admitted query with no shared tier.
   Result<QueryOutput> Execute(const std::string& frameql);
 
-  /// Multi-query batch execution: parses and analyzes every query up
-  /// front, groups them by shared specialized-NN work (stream × NN config
-  /// × queried classes — see SharedSweepGroupKey), and executes the
-  /// groups concurrently on the exec pool while queries inside a group
-  /// run serially so one NN training run and one per-frame sweep feed the
-  /// whole group through one SharedSweepCache, fresh per call.
+  /// Multi-query batch execution: admits every query up front, then runs
+  /// them all in one RunScheduled call over a SharedSweepCache fresh per
+  /// call, under the exec pool's analytics budget.
   ///
   /// Determinism contract: results[i] — answer, frames, rows, and the
   /// simulated CostMeter — is bit-identical to Execute(queries[i]) at any
@@ -174,9 +186,43 @@ class BlazeItEngine {
   /// Parses, binds, and analyzes one query without executing it. `trace`
   /// (nullable) records the parse/analyze spans. Thread-safe: the catalog
   /// is read-only after setup, so concurrent Prepare calls (the serving
-  /// layer prepares at admission time) never race.
+  /// layer admits at Submit time) never race.
   Result<PreparedQuery> Prepare(const std::string& frameql,
                                 obs::QueryTrace* trace = nullptr);
+
+  /// The front half of every entry point: prepares `frameql` (into a new
+  /// trace when collect_reports is on), mints its correlation id and
+  /// derives its shared-plan group key from `position`, which must be
+  /// unique among the queries of one RunScheduled call (plans that train
+  /// nothing get a singleton group keyed by it). Thread-safe like Prepare.
+  ScheduledQuery Admit(const std::string& frameql, size_t position);
+
+  /// Called as each query's slot completes, from whichever pool worker ran
+  /// its group — must be thread-safe. The serving layer streams responses
+  /// back through it as their group finishes.
+  using ResultCallback =
+      std::function<void(size_t index, const Result<QueryOutput>& result,
+                         const BatchQueryStats& stats)>;
+
+  /// The back half of every entry point. Groups the admitted queries by
+  /// group key (first-appearance order; prepare errors join no group and
+  /// complete first), runs the groups concurrently on the exec pool under
+  /// `budget` while queries inside a group run serially, leader first, and
+  /// feeds each query through its own SweepCacheView over `sweeps` so one
+  /// NN training run and per-frame sweep serve the whole group. A null
+  /// `sweeps` gives every query the standalone view (no shared tier, and
+  /// report->batch_group stays -1). Every query is flight-recorded on
+  /// completion, with wall time measured from the start of the run.
+  ///
+  /// Determinism contract: results[i] — the answer, frames, rows, and
+  /// simulated CostMeter — is bit-identical to a standalone Execute of the
+  /// same query at any thread count. Sharing counters in `stats` can vary
+  /// with scheduling when *different* groups race on overlapping cache
+  /// keys; query outputs never do.
+  BatchOutput RunScheduled(std::vector<ScheduledQuery> queries,
+                           SharedSweepCache* sweeps,
+                           exec::ThreadPool::Budget budget,
+                           const ResultCallback& on_result = nullptr);
 
   /// UDFs available to queries (register custom ones here).
   UdfRegistry* mutable_udfs() { return &udfs_; }
@@ -186,21 +232,13 @@ class BlazeItEngine {
   EngineOptions* mutable_options() { return &options_; }
 
  private:
-  /// QueryScheduler executes prepared queries against shared sweeps on
-  /// the engine's behalf; the dispatch below stays private so every other
-  /// caller goes through Execute/ExecuteBatch.
-  friend class QueryScheduler;
-
-  /// Plan choice + dispatch. `cache` is the query's own view onto the
-  /// artifact tiers (the scheduler's shared sweeps, when batched, over the
-  /// stream's persistent cache) and counts its traffic for the report;
-  /// `frameql` and `trace` feed the ExecutionReport when
-  /// options_.collect_reports is on (trace is null otherwise). The
-  /// prepared query's correlation id tags the plan-choice log line (cid=N).
-  Result<QueryOutput> ExecutePrepared(const PreparedQuery& prepared,
-                                      SweepCacheView* cache,
-                                      const std::string& frameql,
-                                      std::shared_ptr<obs::QueryTrace> trace);
+  /// Plan choice + dispatch of one admitted, successfully prepared query.
+  /// `cache` is the query's own view onto the artifact tiers and counts
+  /// its traffic for the report; the query's text and trace feed the
+  /// ExecutionReport when options_.collect_reports is on. Only
+  /// RunScheduled calls it.
+  Result<QueryOutput> ExecutePrepared(const ScheduledQuery& scheduled,
+                                      SweepCacheView* cache);
 
   Result<QueryOutput> ExecuteCountDistinct(StreamData* stream,
                                            const AnalyzedQuery& query,

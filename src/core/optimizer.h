@@ -43,11 +43,12 @@ PlanChoice ChoosePlan(const AnalyzedQuery& query, StreamData* stream);
 /// same stream (same executor kind and hence train-seed salt, same queried
 /// classes and hence training labels) — so running them serially within
 /// one group lets the first execution's training run and per-frame sweep
-/// feed the rest through the scheduler's SharedSweepCache, while distinct
+/// feed the rest through the run's SharedSweepCache, while distinct
 /// keys carry no shared NN work and can run concurrently.
 ///
 /// Plans that train nothing (count-distinct, full scans) get a key unique
-/// to `query_index`, i.e. a singleton group, maximizing concurrency.
+/// to `query_index` (which must be unique within the run), i.e. a
+/// singleton group, maximizing concurrency.
 uint64_t SharedSweepGroupKey(const AnalyzedQuery& query, size_t query_index);
 
 }  // namespace blazeit

@@ -6,10 +6,39 @@
 
 #include "exec/parallel_for.h"
 #include "obs/trace.h"
-#include "storage/segment_sketch.h"
 #include "util/logging.h"
 
 namespace blazeit {
+
+std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
+    const StreamData& stream, FrameWindow window, const SketchProbe& probe,
+    bool use_store_index, obs::SketchStats* sketch) {
+  const bool consulted = use_store_index && stream.detection_store != nullptr;
+  std::vector<SketchIndex::FrameRange> ranges;
+  bool pruned = false;
+  if (consulted) {
+    SketchIndex index = SketchIndex::Load(stream.detection_store,
+                                          stream.test_detections_ns);
+    if (index.valid()) {
+      ranges = index.CandidateRanges(window.begin, window.end, probe);
+      pruned = true;
+    }
+  }
+  if (!pruned && window.end > window.begin) {
+    ranges.push_back({window.begin, window.end});
+  }
+  if (sketch != nullptr) {
+    sketch->consulted = consulted;
+    sketch->pruned = pruned;
+    sketch->window_frames =
+        window.end > window.begin ? window.end - window.begin : 0;
+    sketch->candidate_frames = 0;
+    for (const auto& range : ranges) {
+      sketch->candidate_frames += range.end - range.begin;
+    }
+  }
+  return ranges;
+}
 
 bool SatisfiesRequirements(const StreamData& stream, int64_t frame,
                            const std::vector<ClassCountRequirement>& reqs) {
@@ -99,34 +128,19 @@ void InsertSorted(std::vector<int64_t>* accepted, int64_t frame) {
       std::upper_bound(accepted->begin(), accepted->end(), frame), frame);
 }
 
+/// Membership test over ascending, disjoint ranges.
+bool InRanges(const std::vector<SketchIndex::FrameRange>& ranges,
+              int64_t frame) {
+  auto it = std::upper_bound(ranges.begin(), ranges.end(), frame,
+                             [](int64_t f, const SketchIndex::FrameRange& r) {
+                               return f < r.begin;
+                             });
+  if (it == ranges.begin()) return false;
+  --it;
+  return frame >= it->begin && frame < it->end;
+}
+
 }  // namespace
-
-/// Candidate subranges of the scan window, in walk order. `pruned` is true
-/// when a valid sketch index restricted the walk (the ranges then cover
-/// only segments the sketches could not refute).
-struct ScrubbingExecutor::FrameRanges {
-  std::vector<SketchIndex::FrameRange> ranges;
-  bool pruned = false;
-
-  int64_t total_frames() const {
-    int64_t total = 0;
-    for (const auto& r : ranges) total += r.end - r.begin;
-    return total;
-  }
-
-  /// Membership test; requires the ranges in ascending order (the
-  /// CandidateRanges contract — never call on density-ordered runs).
-  bool Contains(int64_t frame) const {
-    auto it = std::upper_bound(
-        ranges.begin(), ranges.end(), frame,
-        [](int64_t f, const SketchIndex::FrameRange& r) {
-          return f < r.begin;
-        });
-    if (it == ranges.begin()) return false;
-    --it;
-    return frame >= it->begin && frame < it->end;
-  }
-};
 
 ScrubbingExecutor::ScrubbingExecutor(StreamData* stream, ScrubOptions options,
                                      ArtifactCache* sweep_cache,
@@ -154,43 +168,21 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   CostMeter meter;
 
   // --- sketch consultation (opt-in): candidate subranges of the window ---
-  FrameRanges candidates;
-  candidates.ranges = {{window.begin, window.end}};
-  FrameRanges scan_order = candidates;  // walk order of the scan fallback
-  if (options_.use_store_index && stream_->detection_store != nullptr) {
-    SketchIndex index = SketchIndex::Load(stream_->detection_store,
-                                          stream_->test_detections_ns);
-    if (index.valid()) {
-      SketchProbe probe;
-      probe.score_threshold = stream_->config.detection_threshold;
-      probe.requirements = reqs;
-      candidates.ranges =
-          index.CandidateRanges(window.begin, window.end, probe);
-      candidates.pruned = true;
-      scan_order = candidates;
-      if (options_.density_first) {
-        scan_order.ranges = index.DensityRankedRuns(
-            window.begin, window.end, probe, reqs.front().class_id);
-      }
-    }
-  }
-  const bool sketch_consulted =
-      options_.use_store_index && stream_->detection_store != nullptr;
-  const int64_t n_window = window.end - window.begin;
-  auto fill_sketch_stats = [&](ScrubResult* r) {
-    r->sketch_consulted = sketch_consulted;
-    r->sketch_pruned = candidates.pruned;
-    r->sketch_window_frames = n_window;
-    r->sketch_candidate_frames =
-        candidates.pruned ? candidates.total_frames() : n_window;
-  };
-  if (candidates.ranges.empty()) {
+  SketchProbe probe;
+  probe.score_threshold = stream_->config.detection_threshold;
+  probe.requirements = reqs;
+  obs::SketchStats sketch;
+  const std::vector<SketchIndex::FrameRange> candidates =
+      SketchCandidateRanges(*stream_, window, probe, options_.use_store_index,
+                            &sketch);
+  if (candidates.empty()) {
     // Every segment of the window is provably free of matches.
     ScrubResult empty;
     empty.scan_exhausted = true;
-    fill_sketch_stats(&empty);
+    empty.sketch = sketch;
     return empty;
   }
+  const int64_t n_window = window.end - window.begin;
 
   // --- training-data check (Section 7.1): any instance in the train day?
   // Sharded count scan; the sum folds in shard order (exact integers).
@@ -222,8 +214,8 @@ Result<ScrubResult> ScrubbingExecutor::Run(
     BLAZEIT_LOG(kDebug) << "no instances of the scrubbing query in the "
                            "training set; falling back to sequential scan";
     Result<ScrubResult> fallback =
-        RunSequentialFallback(reqs, limit, gap, meter, scan_order);
-    if (fallback.ok()) fill_sketch_stats(&fallback.value());
+        RunSequentialFallback(reqs, limit, gap, meter, candidates);
+    if (fallback.ok()) fallback.value().sketch = sketch;
     return fallback;
   }
 
@@ -255,11 +247,11 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   // refuted segments are skipped in the verification walk instead.
   const SyntheticVideo& test = *stream_->test_day;
   const bool restricted_sweep =
-      candidates.pruned && options_.confidence_smoothing <= 0;
+      sketch.pruned && options_.confidence_smoothing <= 0;
   std::vector<int64_t> test_frames;
   if (restricted_sweep) {
-    test_frames.reserve(static_cast<size_t>(candidates.total_frames()));
-    for (const auto& range : candidates.ranges) {
+    test_frames.reserve(static_cast<size_t>(sketch.candidate_frames));
+    for (const auto& range : candidates) {
       for (int64_t t = range.begin; t < range.end; ++t) {
         test_frames.push_back(t);
       }
@@ -321,8 +313,7 @@ Result<ScrubResult> ScrubbingExecutor::Run(
     // need no verification: a sketch-refuted frame provably fails the
     // requirements, so in the unindexed walk it would charge a detector
     // call and change no state — skipping it is free and bit-identical.
-    if (candidates.pruned && !restricted_sweep &&
-        !candidates.Contains(frame)) {
+    if (sketch.pruned && !restricted_sweep && !InRanges(candidates, frame)) {
       continue;
     }
     if (!GapAdmissible(accepted_sorted, frame, gap)) continue;
@@ -338,19 +329,20 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   result.indexed_seconds = meter.detection_seconds();
   result.detection_calls = meter.detection_calls();
   result.cost = meter;
-  fill_sketch_stats(&result);
+  result.sketch = sketch;
   return result;
 }
 
 Result<ScrubResult> ScrubbingExecutor::RunSequentialFallback(
     const std::vector<ClassCountRequirement>& reqs, int64_t limit,
-    int64_t gap, CostMeter meter, const FrameRanges& ranges) {
+    int64_t gap, CostMeter meter,
+    const std::vector<SketchIndex::FrameRange>& ranges) {
   obs::TraceSpan span(trace_, "scan", &meter);
   ScrubResult result;
   result.fell_back_to_scan = true;
   std::vector<int64_t> accepted_sorted;
   bool limit_reached = false;
-  for (const auto& range : ranges.ranges) {
+  for (const auto& range : ranges) {
     for (int64_t t = range.begin; t < range.end; ++t) {
       if (static_cast<int64_t>(result.frames.size()) >= limit) {
         limit_reached = true;

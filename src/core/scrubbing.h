@@ -6,14 +6,12 @@
 #include "core/catalog.h"
 #include "frameql/analyzer.h"
 #include "nn/specialized_nn.h"
+#include "obs/report.h"
 #include "sim/cost_model.h"
+#include "storage/segment_sketch.h"
 #include "util/status.h"
 
 namespace blazeit {
-
-namespace obs {
-class QueryTrace;  // obs/trace.h
-}
 
 struct ScrubOptions {
   SpecializedNNConfig nn;
@@ -35,12 +33,6 @@ struct ScrubOptions {
   /// only the charged NN/detector calls drop. A no-op unless the stream
   /// is store-backed and sketches are built and current.
   bool use_store_index = false;
-  /// With use_store_index: the sequential-scan fallback walks candidate
-  /// runs densest-first (NeedleTail-style) instead of ascending, so LIMIT
-  /// is typically satisfied after far fewer detector calls. This changes
-  /// the *discovery order* (and, under GAP, possibly which frames are
-  /// returned), so it is opt-in and outside the bit-identity contract.
-  bool density_first = false;
 };
 
 struct ScrubResult {
@@ -65,13 +57,8 @@ struct ScrubResult {
   /// True when the training day had no instances of the query and the
   /// executor fell back to a sequential scan (Section 7.1).
   bool fell_back_to_scan = false;
-  /// Sketch-index activity, for the query's ExecutionReport: whether the
-  /// index was consulted, whether a current index pruned the walk, and
-  /// the window vs. candidate frame counts (equal when unpruned).
-  bool sketch_consulted = false;
-  bool sketch_pruned = false;
-  int64_t sketch_window_frames = 0;
-  int64_t sketch_candidate_frames = 0;
+  /// Sketch-index activity, for the query's ExecutionReport.
+  obs::SketchStats sketch;
 };
 
 /// Executes cardinality-limited scrubbing queries (Section 7): trains one
@@ -105,11 +92,10 @@ class ScrubbingExecutor {
   const std::vector<float>& confidences() const { return confidences_; }
 
  private:
-  struct FrameRanges;  // candidate subranges of the window, in walk order
-
   Result<ScrubResult> RunSequentialFallback(
       const std::vector<ClassCountRequirement>& reqs, int64_t limit,
-      int64_t gap, CostMeter meter, const FrameRanges& ranges);
+      int64_t gap, CostMeter meter,
+      const std::vector<SketchIndex::FrameRange>& ranges);
 
   StreamData* stream_;
   ArtifactCache* cache_;
@@ -117,6 +103,17 @@ class ScrubbingExecutor {
   obs::QueryTrace* trace_;
   std::vector<float> confidences_;
 };
+
+/// Candidate subranges of `window` under the stream's sketch index for
+/// `probe`, or the whole window (nothing when it is empty) when
+/// `use_store_index` is off, the stream has no store, or no current index
+/// exists. `sketch` (nullable) receives the consultation outcome for the
+/// query's ExecutionReport. The one front end of every sketch-pruned walk:
+/// scrubbing, full scan, count-distinct, and the serving layer's
+/// load-shed scan.
+std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
+    const StreamData& stream, FrameWindow window, const SketchProbe& probe,
+    bool use_store_index, obs::SketchStats* sketch);
 
 /// True if the frame's per-class counts satisfy every requirement.
 bool SatisfiesRequirements(const StreamData& stream, int64_t frame,

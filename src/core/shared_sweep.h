@@ -15,11 +15,12 @@
 namespace blazeit {
 
 /// The in-memory artifact tier that makes multi-query batching pay: one
-/// SharedSweepCache is shared by every query a QueryScheduler runs (a
-/// fresh one per ExecuteBatch call; one kept warm across admission windows
-/// by the serving layer), so the first query of a shared-plan group trains
-/// the specialized NN and runs the per-frame sweeps, and the rest of the
-/// group reads the identical floats back instead of recomputing them. Keys
+/// SharedSweepCache is shared by every query of a
+/// BlazeItEngine::RunScheduled call (a fresh one per ExecuteBatch call;
+/// one kept warm across admission windows by the serving layer), so the
+/// first query of a shared-plan group trains the specialized NN and runs
+/// the per-frame sweeps, and the rest of the group reads the identical
+/// floats back instead of recomputing them. Keys
 /// are the same content fingerprints the persistent ArtifactCache uses, so
 /// a hit is bit-identical to recomputation and query outputs/simulated
 /// costs never depend on cache state.
@@ -29,7 +30,7 @@ namespace blazeit {
 /// store's rule is: values are deterministic per key, so a racing
 /// duplicate insert carries identical bytes.
 ///
-/// Unbounded by design: the cache is scoped to one scheduler, and holds
+/// Unbounded by design: the cache is scoped to one batch or queue, and holds
 /// full-day sweep rows for every (stream, NN, class) it has served — a few
 /// MB each. A long-lived serving queue over a varied query mix should be
 /// recycled periodically (or gain eviction when the ROADMAP's

@@ -107,13 +107,6 @@ class Sequential : public Layer {
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 
-/// Builds the "tiny" MLP used for specialization: input -> hidden ReLU
-/// blocks -> num_classes logits. The paper's tiny ResNet plays the same
-/// role (cheap, imperfect, correlated); see DESIGN.md.
-std::unique_ptr<Sequential> BuildMlp(int input_dim,
-                                     const std::vector<int>& hidden_dims,
-                                     int num_classes, Rng* rng);
-
 }  // namespace blazeit
 
 #endif  // BLAZEIT_NN_LAYERS_H_

@@ -6,11 +6,22 @@
 
 #include "nn/layers.h"
 #include "util/artifact_cache.h"
-#include "nn/trainer.h"
 #include "util/status.h"
 #include "video/synthetic_video.h"
 
 namespace blazeit {
+
+/// Mini-batch training configuration. Defaults follow the paper (Section 9:
+/// cross-entropy loss, batch size 16, SGD momentum 0.9, one epoch).
+struct TrainConfig {
+  int epochs = 1;
+  int batch_size = 16;
+  double lr = 0.02;
+  /// Multiplicative learning-rate decay applied after each epoch.
+  double lr_decay = 0.5;
+  double momentum = 0.9;
+  uint64_t seed = 42;
+};
 
 /// Configuration of a specialized NN (Sections 3, 9). The raster size and
 /// MLP shape stand in for the paper's 65x65-input tiny ResNet; what matters

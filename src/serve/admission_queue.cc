@@ -12,7 +12,6 @@
 #include "exec/thread_pool.h"
 #include "net/http.h"
 #include "obs/debug_server.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "storage/segment_sketch.h"
 #include "util/string_util.h"
@@ -68,7 +67,7 @@ obs::Histogram* AdmissionLatencyHistogram() {
 }  // namespace
 
 AdmissionQueue::AdmissionQueue(BlazeItEngine* engine, ServeOptions options)
-    : engine_(engine), options_(options), scheduler_(engine) {
+    : engine_(engine), options_(options) {
   ThreadPool& pool = ThreadPool::Instance();
   prev_serving_limit_ = pool.BudgetLimit(ThreadPool::Budget::kServing);
   prev_analytics_limit_ = pool.BudgetLimit(ThreadPool::Budget::kAnalytics);
@@ -161,23 +160,12 @@ AdmissionQueue::~AdmissionQueue() {
 Result<int64_t> AdmissionQueue::Submit(const std::string& client,
                                        const std::string& frameql) {
   // The front half runs before admission (and outside the lock): the
-  // catalog is read-only, so concurrent Prepare calls are safe, and a
-  // parse error must land in the response — the same place serial Execute
+  // catalog is read-only, so concurrent Admit calls are safe, and a parse
+  // error must land in the response — the same place serial Execute
   // reports it — not block the admission slot.
   PendingEntry entry;
-  entry.client = client;
-  entry.frameql = frameql;
-  if (engine_->options().collect_reports) {
-    entry.trace = std::make_shared<obs::QueryTrace>(frameql);
-  }
-  auto prepared = engine_->Prepare(frameql, entry.trace.get());
-  if (prepared.ok()) {
-    entry.prepared = std::move(prepared).value();
-    entry.correlation_id = entry.prepared->correlation_id;
-  } else {
-    entry.prepare_error = prepared.status();
-    entry.correlation_id = obs::FlightRecorder::NextCorrelationId();
-  }
+  entry.query = engine_->Admit(frameql, admissions_.fetch_add(1));
+  entry.query.client = client;
 
   util::MutexLock lock(mu_);
   const int64_t depth = static_cast<int64_t>(pending_.size());
@@ -226,6 +214,7 @@ void AdmissionQueue::Drain() {
 }
 
 Status AdmissionQueue::Cancel(int64_t ticket) {
+  PendingEntry entry;
   ServeResponse resp;
   {
     util::MutexLock lock(mu_);
@@ -237,27 +226,24 @@ Status AdmissionQueue::Cancel(int64_t ticket) {
                               " is not pending (unknown, already executed, "
                               "or its window already cut)");
     }
-    resp.ticket = it->ticket;
-    resp.correlation_id = it->correlation_id;
-    resp.client = it->client;
-    resp.frameql = it->frameql;
-    resp.admitted_tick = it->admitted_tick;
-    resp.executed_tick = clock_;
-    resp.output = Status::Cancelled("cancelled before execution");
+    entry = std::move(*it);
+    resp = ResponseFor(entry, clock_);
     // The quota slot frees now — a client may cancel-and-resubmit within
     // one window without tripping its own quota.
-    auto pending_it = client_pending_.find(it->client);
+    auto pending_it = client_pending_.find(entry.query.client);
     if (pending_it != client_pending_.end() && pending_it->second > 0) {
       --pending_it->second;
     }
     ++stats_.cancelled;
-    ++client_counters_[it->client].cancelled;
+    ++client_counters_[entry.query.client].cancelled;
     CancelledCounter()->Add();
     pending_.erase(it);
     QueueDepthGauge()->Set(static_cast<int64_t>(pending_.size()));
   }
+  resp.output = Status::Cancelled("cancelled before execution");
+  RecordFlight(entry.query, resp.output, /*degraded=*/false, /*wall_ms=*/0.0);
   // Deliver takes mu_ itself.
-  Deliver(std::move(resp), /*wall_ms=*/0.0);
+  Deliver(std::move(resp));
   return Status::OK();
 }
 
@@ -301,32 +287,19 @@ ServerStats AdmissionQueue::stats() const {
   return stats_;
 }
 
-void AdmissionQueue::Deliver(ServeResponse&& response, double wall_ms) {
-  // Flight-record the completed serve query (observe-only: ids and wall
-  // times never feed back into outputs or reports).
-  obs::FlightRecord record;
-  record.correlation_id = response.correlation_id;
-  record.client = response.client;
-  record.query = response.frameql;
-  record.degraded = response.degraded;
-  record.wall_ms = wall_ms;
-  record.ok = response.output.ok();
-  if (response.output.ok()) {
-    const QueryOutput& output = response.output.value();
-    record.plan = PlanKindName(output.plan);
-    record.cost_seconds = output.cost.TotalSeconds();
-    if (output.report != nullptr) {
-      record.trace = output.report->trace;
-      record.accuracy_tier = output.report->accuracy_tier;
-    }
-    if (record.accuracy_tier.empty()) {
-      record.accuracy_tier = response.degraded ? "degraded" : "full";
-    }
-  } else {
-    record.error = response.output.status().ToString();
-  }
-  obs::FlightRecorder::Global().Record(std::move(record));
+ServeResponse AdmissionQueue::ResponseFor(const PendingEntry& entry,
+                                          int64_t tick) {
+  ServeResponse resp;
+  resp.ticket = entry.ticket;
+  resp.correlation_id = entry.query.correlation_id;
+  resp.client = entry.query.client;
+  resp.frameql = entry.query.frameql;
+  resp.admitted_tick = entry.admitted_tick;
+  resp.executed_tick = tick;
+  return resp;
+}
 
+void AdmissionQueue::Deliver(ServeResponse&& response) {
   util::MutexLock lock(mu_);
   if (response.degraded) ++client_counters_[response.client].shed;
   AdmissionLatencyHistogram()->Observe(response.executed_tick -
@@ -361,6 +334,11 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
                                                 obs::Stability::kStable);
   batches_counter->Add();
 
+  // Shed queries run their cheap baseline here; everything else —
+  // prepare errors included — goes to one RunScheduled call against the
+  // queue's sweeps (warm across windows). Its callback streams each
+  // response out as its group completes, from whichever pool worker ran
+  // it.
   const size_t n = batch.size();
   std::vector<ServeResponse> shells(n);
   std::vector<ScheduledQuery> scheduled;
@@ -368,54 +346,34 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
   int64_t shed_this_batch = 0;
   for (size_t i = 0; i < n; ++i) {
     PendingEntry& entry = batch[i];
-    ServeResponse& resp = shells[i];
-    resp.ticket = entry.ticket;
-    resp.correlation_id = entry.correlation_id;
-    resp.client = entry.client;
-    resp.frameql = entry.frameql;
-    resp.admitted_tick = entry.admitted_tick;
-    resp.executed_tick = executed_tick;
-    if (!entry.prepared.has_value()) {
-      resp.output = entry.prepare_error;
-      Deliver(std::move(resp), /*wall_ms=*/0.0);
-      continue;
-    }
-    const QueryKind kind = entry.prepared->query.kind;
-    if (entry.shed && (kind == QueryKind::kAggregate ||
-                       kind == QueryKind::kScrubbing)) {
+    shells[i] = ResponseFor(entry, executed_tick);
+    const Result<PreparedQuery>& prepared = entry.query.prepared;
+    if (entry.shed && prepared.ok() &&
+        (prepared.value().query.kind == QueryKind::kAggregate ||
+         prepared.value().query.kind == QueryKind::kScrubbing)) {
       shed_counter->Add();
       ++shed_this_batch;
+      ServeResponse& resp = shells[i];
       resp.degraded = true;
       const auto shed_started = std::chrono::steady_clock::now();
-      resp.output = RunDegraded(*entry.prepared, entry.frameql);
-      Deliver(std::move(resp), MsSince(shed_started));
+      resp.output = RunDegraded(prepared.value(), entry.query.frameql);
+      RecordFlight(entry.query, resp.output, /*degraded=*/true,
+                   MsSince(shed_started));
+      Deliver(std::move(resp));
       continue;
     }
-    // Not sheddable (or not shed): the full plan. Group keys use the
-    // batch position, so with a fixed admission order the grouping — and
-    // therefore every output bit — replays exactly.
-    ScheduledQuery sq;
-    sq.prepared = *entry.prepared;
-    sq.frameql = entry.frameql;
-    sq.trace = entry.trace;
-    sq.group_key = SharedSweepGroupKey(entry.prepared->query, i);
-    scheduled.push_back(std::move(sq));
+    scheduled.push_back(std::move(entry.query));
     slots.push_back(i);
   }
 
-  // One scheduler run per window, against the scheduler's sweeps (warm
-  // across windows). The callback streams each response out as its
-  // group completes, from whichever pool worker ran it. Wall times are
-  // batch-relative (cut to completion), the latency a waiting client saw.
-  const auto batch_started = std::chrono::steady_clock::now();
-  ScheduleOutcome outcome = scheduler_.Run(
-      scheduled, ThreadPool::Budget::kServing,
+  BatchOutput outcome = engine_->RunScheduled(
+      std::move(scheduled), &sweeps_, ThreadPool::Budget::kServing,
       [&](size_t j, const Result<QueryOutput>& result,
           const BatchQueryStats& stats) {
         ServeResponse resp = shells[slots[j]];
         resp.output = result;
         resp.stats = stats;
-        Deliver(std::move(resp), MsSince(batch_started));
+        Deliver(std::move(resp));
       });
 
   // Cumulative coalescing accounting: which groups spanned clients, and
@@ -426,11 +384,11 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
   ++stats_.batches;
   stats_.shed += shed_this_batch;
   stats_.groups += outcome.groups;
-  for (size_t j = 0; j < scheduled.size(); ++j) {
+  for (size_t j = 0; j < slots.size(); ++j) {
     if (!outcome.results[j].ok()) continue;
     const BatchQueryStats& qs = outcome.stats[j];
     ++group_sizes[qs.group];
-    group_clients[qs.group].insert(batch[slots[j]].client);
+    group_clients[qs.group].insert(shells[slots[j]].client);
     stats_.shared_nn_frames += qs.shared_nn_frames;
     stats_.shared_filter_frames += qs.shared_filter_frames;
     stats_.shared_models += qs.shared_models;

@@ -1,16 +1,15 @@
 #ifndef BLAZEIT_SERVE_ADMISSION_QUEUE_H_
 #define BLAZEIT_SERVE_ADMISSION_QUEUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/scheduler.h"
+#include "core/shared_sweep.h"
 #include "util/mutex.h"
 
 namespace blazeit {
@@ -20,9 +19,10 @@ namespace serve {
 /// one-tick window, deep queue, generous quota, shedding off.
 struct ServeOptions {
   /// Virtual-clock ticks an admission window stays open: queries admitted
-  /// while a window is open coalesce into one scheduler run (cross-client
-  /// shared sweeps). 0 = pass-through — every Submit executes its query
-  /// immediately and returns with the response already completed.
+  /// while a window is open coalesce into one BlazeItEngine::RunScheduled
+  /// call (cross-client shared sweeps). 0 = pass-through — every Submit
+  /// executes its query immediately and returns with the response already
+  /// completed.
   int64_t window_ticks = 1;
   /// Bound on queries admitted-but-not-yet-executed. A Submit past the
   /// bound fails with ResourceExhausted instead of queueing unboundedly.
@@ -98,11 +98,11 @@ struct ServerStats {
 };
 
 /// The multi-tenant serving core: a bounded admission queue in front of
-/// QueryScheduler. Arriving queries are parsed/analyzed at Submit time,
-/// held for the batching window, coalesced *across clients* by
-/// SharedSweepGroupKey, executed as one scheduler run (the scheduler's
-/// sweeps stay warm across windows), and streamed into
-/// the completed set as their group finishes.
+/// BlazeItEngine::RunScheduled. Arriving queries are admitted
+/// (BlazeItEngine::Admit) at Submit time, held for the batching window,
+/// coalesced *across clients* by SharedSweepGroupKey, executed as one
+/// RunScheduled call over the queue's own sweeps (which stay warm across
+/// windows), and streamed into the completed set as their group finishes.
 ///
 /// Time is a deterministic virtual clock advanced by Advance(), so tests
 /// replay admission schedules exactly. Determinism contract: with a fixed
@@ -167,15 +167,11 @@ class AdmissionQueue {
 
  private:
   struct PendingEntry {
+    /// The engine's admission of the query, `client` set.
+    ScheduledQuery query;
     int64_t ticket = -1;
-    int64_t correlation_id = -1;
-    std::string client;
-    std::string frameql;
     int64_t admitted_tick = 0;
     bool shed = false;
-    std::shared_ptr<obs::QueryTrace> trace;
-    Status prepare_error;
-    std::optional<PreparedQuery> prepared;
   };
 
   /// Cuts the pending batch and executes it. Entered with `lock` held on
@@ -190,18 +186,24 @@ class AdmissionQueue {
   Result<QueryOutput> RunDegraded(const PreparedQuery& prepared,
                                   const std::string& frameql);
 
-  /// Moves the response into the completed set and flight-records it
-  /// (wall_ms = execution wall time observed by the completion path; 0
-  /// for prepare errors and cancellations, which ran nothing).
-  void Deliver(ServeResponse&& response, double wall_ms)
-      BLAZEIT_EXCLUDES(mu_);
+  /// Response shell of `entry` (output still pending), cut at `tick`.
+  static ServeResponse ResponseFor(const PendingEntry& entry, int64_t tick);
+
+  /// Moves the response into the completed set. Flight recording is the
+  /// caller's: RunScheduled records what it runs, and the shed and cancel
+  /// paths call RecordFlight themselves.
+  void Deliver(ServeResponse&& response) BLAZEIT_EXCLUDES(mu_);
 
   /// The wall-clock window driver (runs only when wall_clock_tick_ms>0).
   void TickerLoop();
 
   BlazeItEngine* engine_;
   ServeOptions options_;
-  QueryScheduler scheduler_;
+  /// Shared-plan tier of every window, warm across windows.
+  SharedSweepCache sweeps_;
+  /// Admission positions: unique per query, which is all the group keys
+  /// of one run need.
+  std::atomic<size_t> admissions_{0};
   int prev_serving_limit_ = 0;
   int prev_analytics_limit_ = 0;
   int64_t statusz_token_ = 0;

@@ -31,6 +31,10 @@ class Bad {
 
   void TouchLocked();  // lint-expect: locked-requires
 
+  void Record() {
+    obs::FlightRecorder::Global().Record({});  // lint-expect: flight-record
+  }
+
  private:
   std::mutex mu_;  // lint-expect: raw-mutex
   int guarded_ = 0;

@@ -7,11 +7,25 @@
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
-#include "nn/trainer.h"
 #include "util/random.h"
 
 namespace blazeit {
 namespace {
+
+/// input -> hidden ReLU blocks -> num_classes logits.
+std::unique_ptr<Sequential> BuildMlp(int input_dim,
+                                     const std::vector<int>& hidden_dims,
+                                     int num_classes, Rng* rng) {
+  auto model = std::make_unique<Sequential>();
+  int dim = input_dim;
+  for (int hidden : hidden_dims) {
+    model->Add(std::make_unique<Linear>(dim, hidden, rng));
+    model->Add(std::make_unique<ReLU>());
+    dim = hidden;
+  }
+  model->Add(std::make_unique<Linear>(dim, num_classes, rng));
+  return model;
+}
 
 TEST(LinearTest, ForwardAddsBias) {
   Rng rng(1);
@@ -165,44 +179,6 @@ TEST(SequentialTest, BackwardParamsMatchesFullBackward) {
     for (float v : *got[p].grad) nonzero = nonzero || v != 0.0f;
     EXPECT_TRUE(nonzero);
   }
-}
-
-TEST(TrainerTest, LearnsLinearlySeparableTask) {
-  Rng rng(7);
-  const int n = 2000, d = 8;
-  std::vector<std::vector<float>> xs(n);
-  std::vector<int> ys(n);
-  for (int i = 0; i < n; ++i) {
-    xs[i].resize(d);
-    for (int j = 0; j < d; ++j) xs[i][j] = static_cast<float>(rng.Normal(0, 1));
-    ys[i] = xs[i][0] + xs[i][1] > 0 ? 1 : 0;
-  }
-  Rng init(3);
-  auto model = BuildMlp(d, {16}, 2, &init);
-  TrainConfig cfg;
-  cfg.epochs = 5;
-  cfg.lr = 0.05;
-  auto loss = TrainClassifier(
-      model.get(), [&](int64_t i) { return xs[static_cast<size_t>(i)]; }, ys,
-      d, cfg);
-  BLAZEIT_ASSERT_OK(loss);
-  EXPECT_LT(loss.value(), 0.2);
-}
-
-TEST(TrainerTest, RejectsBadArguments) {
-  Rng init(3);
-  auto model = BuildMlp(4, {8}, 2, &init);
-  TrainConfig cfg;
-  EXPECT_FALSE(TrainClassifier(nullptr, nullptr, {0}, 4, cfg).ok());
-  EXPECT_FALSE(
-      TrainClassifier(model.get(), [](int64_t) { return std::vector<float>(4); },
-                      {}, 4, cfg)
-          .ok());
-  // Feature size mismatch.
-  auto r = TrainClassifier(model.get(),
-                           [](int64_t) { return std::vector<float>(3); }, {0, 1},
-                           4, cfg);
-  EXPECT_FALSE(r.ok());
 }
 
 TEST(BuildMlpTest, LayerCount) {

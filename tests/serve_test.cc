@@ -11,6 +11,7 @@
 // serve_determinism_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -457,6 +458,123 @@ TEST_F(ServeTest, ResponsesCarryCorrelationIdsIntoFlightRecorder) {
   }
   EXPECT_TRUE(found) << "correlation id " << resp.correlation_id
                      << " not in the flight recorder";
+}
+
+/// Flight records appended since the recorder had `total_before` records
+/// (FlightRecorder::total_recorded()), oldest first.
+std::vector<obs::FlightRecord> RecordsSince(int64_t total_before) {
+  std::vector<obs::FlightRecord> out;
+  for (obs::FlightRecord& record :
+       obs::FlightRecorder::Global().Snapshot()) {
+    if (record.sequence >= total_before) out.push_back(std::move(record));
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+/// Retained flight records carrying `correlation_id`.
+int64_t RecordsWithId(int64_t correlation_id) {
+  int64_t n = 0;
+  for (const obs::FlightRecord& record :
+       obs::FlightRecorder::Global().Snapshot()) {
+    if (record.correlation_id == correlation_id) ++n;
+  }
+  return n;
+}
+
+// Every entry point — Execute, ExecuteBatch, and the serving queue's
+// run, shed and cancel paths — leaves exactly one flight record per
+// query, under the query's own correlation id, with its outcome and
+// accuracy tier; prepare errors included.
+TEST_F(ServeTest, EveryQueryLeavesExactlyOneFlightRecord) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  const char kBroken[] = "SELEC oops";
+
+  {
+    SCOPED_TRACE("Execute");
+    const int64_t before = recorder.total_recorded();
+    BLAZEIT_ASSERT_OK(engine_->Execute(kExhaustive));
+    EXPECT_FALSE(engine_->Execute(kBroken).ok());
+    std::vector<obs::FlightRecord> records = RecordsSince(before);
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].query, kExhaustive);
+    EXPECT_TRUE(records[0].ok);
+    EXPECT_EQ(records[1].query, kBroken);
+    EXPECT_FALSE(records[1].ok);
+    EXPECT_FALSE(records[1].error.empty());
+    for (const obs::FlightRecord& record : records) {
+      EXPECT_EQ(RecordsWithId(record.correlation_id), 1);
+      EXPECT_EQ(record.client, "");
+      EXPECT_EQ(record.accuracy_tier, "full");
+    }
+  }
+  {
+    SCOPED_TRACE("ExecuteBatch");
+    const int64_t before = recorder.total_recorded();
+    auto batch = engine_->ExecuteBatch({kExhaustive, kBroken});
+    BLAZEIT_ASSERT_OK(batch);
+    std::vector<obs::FlightRecord> records = RecordsSince(before);
+    ASSERT_EQ(records.size(), 2u);
+    // The prepare error completes before the groups run.
+    EXPECT_EQ(records[0].query, kBroken);
+    EXPECT_FALSE(records[0].ok);
+    EXPECT_EQ(records[1].query, kExhaustive);
+    EXPECT_TRUE(records[1].ok);
+    EXPECT_NE(records[0].correlation_id, records[1].correlation_id);
+    for (const obs::FlightRecord& record : records) {
+      EXPECT_EQ(RecordsWithId(record.correlation_id), 1);
+      EXPECT_EQ(record.accuracy_tier, "full");
+    }
+  }
+  {
+    SCOPED_TRACE("served, shed and cancelled");
+    ServeOptions options;
+    options.window_ticks = 100;
+    options.shed_depth = 1;  // the second query in the window is shed
+    AdmissionQueue queue(engine_, options);
+    const int64_t before = recorder.total_recorded();
+    auto served = queue.Submit("alice", kExhaustive);
+    auto shed = queue.Submit("bob", kAggregate);
+    auto cancelled = queue.Submit("carol", kExhaustive);
+    auto broken = queue.Submit("dave", kBroken);
+    BLAZEIT_ASSERT_OK(served);
+    BLAZEIT_ASSERT_OK(shed);
+    BLAZEIT_ASSERT_OK(cancelled);
+    BLAZEIT_ASSERT_OK(broken);
+    BLAZEIT_ASSERT_OK(queue.Cancel(cancelled.value()));
+    queue.Drain();
+    std::vector<ServeResponse> completed = queue.TakeCompleted();
+    ASSERT_EQ(completed.size(), 4u);
+    EXPECT_EQ(static_cast<int64_t>(RecordsSince(before).size()), 4);
+    for (const ServeResponse& resp : completed) {
+      SCOPED_TRACE(resp.client);
+      ASSERT_EQ(RecordsWithId(resp.correlation_id), 1);
+      obs::FlightRecord record;
+      for (obs::FlightRecord& r : recorder.Snapshot()) {
+        if (r.correlation_id == resp.correlation_id) record = std::move(r);
+      }
+      EXPECT_EQ(record.client, resp.client);
+      EXPECT_EQ(record.query, resp.frameql);
+      EXPECT_EQ(record.ok, resp.output.ok());
+      EXPECT_EQ(record.degraded, resp.degraded);
+      if (resp.ticket == served.value()) {
+        EXPECT_TRUE(record.ok);
+        EXPECT_EQ(record.accuracy_tier, "full");
+      } else if (resp.ticket == shed.value()) {
+        EXPECT_TRUE(record.ok);
+        EXPECT_TRUE(record.degraded);
+        EXPECT_EQ(record.accuracy_tier, "degraded-sampling");
+      } else if (resp.ticket == cancelled.value()) {
+        EXPECT_FALSE(record.ok);
+        EXPECT_NE(record.error.find("cancelled"), std::string::npos);
+        EXPECT_EQ(record.accuracy_tier, "full");
+      } else {
+        EXPECT_EQ(resp.ticket, broken.value());
+        EXPECT_FALSE(record.ok);
+        EXPECT_EQ(record.accuracy_tier, "full");
+      }
+    }
+  }
 }
 
 TEST_F(ServeTest, PerClientCountersTrackLifecycle) {
