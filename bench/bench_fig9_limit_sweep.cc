@@ -62,9 +62,9 @@ void RunSketchLengthSweep(int64_t max_scale) {
     if (!s->detection_store->BuildSketches(s->test_detections_ns).ok()) {
       std::abort();
     }
-    ScrubOptions indexed_options;
-    indexed_options.use_store_index = true;
-    ScrubbingExecutor indexed_ex(s, indexed_options);
+    ScrubbingExecutor indexed_ex(s, {}, /*sweep_cache=*/nullptr,
+                                 /*trace=*/nullptr,
+                                 /*use_store_index=*/true);
     auto indexed = indexed_ex.Run(reqs, 10, 0).value();
 
     const bool identical = indexed.frames == plain.frames;

@@ -30,6 +30,11 @@ bodies such as nn/matmul_tiles.inc) files of src/ and tests/:
                   every entry point records its queries the same way and
                   none can skip the recorder or record a query twice. No
                   escape hatch: route new recording through RecordFlight.
+  serve-baselines No file under src/serve/ includes core/baselines.h. The
+                  Section 10 baselines exist for the paper's comparison
+                  benches; serving runs engine plans (a shed query is a
+                  degraded query on the engine's cheap plan). No escape
+                  hatch.
 
 Escape hatches (must be on the offending line, visible to reviewers):
     // lint:allow-bare-assert <reason>
@@ -69,6 +74,10 @@ WALLCLOCK_ALLOWED_PREFIXES = (
 
 # The one file allowed to write the process-wide flight recorder.
 FLIGHT_RECORD_ALLOWED = {"src/core/engine.cc"}
+
+# Headers the serving layer must not include, with the reason.
+SERVE_FORBIDDEN_INCLUDE_RE = re.compile(
+    r'^\s*#\s*include\s*[<"]core/baselines\.h[">]')
 
 BARE_ASSERT_RE = re.compile(r"(?<![A-Za-z0-9_])assert\s*\(")
 RAW_MUTEX_RE = re.compile(
@@ -200,6 +209,15 @@ def lint_file(rel_path, text):
                 rel_path, i, "flight-record",
                 "only RecordFlight (src/core/engine.cc) writes the global "
                 "flight recorder; call RecordFlight instead"))
+
+        # Matched on the raw line: strip_noise blanks the quoted path.
+        if (rel_path.startswith("src/serve/")
+                and SERVE_FORBIDDEN_INCLUDE_RE.search(raw)):
+            findings.append(Finding(
+                rel_path, i, "serve-baselines",
+                "serving runs engine plans; the Section 10 baselines in "
+                "core/baselines.h are for the paper benches (shed queries "
+                "set ScheduledQuery::degraded instead)"))
 
     # --- *Locked annotation rule (aggregated per function name) --------
     findings.extend(lint_locked_contracts(rel_path, lines))

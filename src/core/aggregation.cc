@@ -32,38 +32,57 @@ AggregationExecutor::AggregationExecutor(StreamData* stream,
       options_(options),
       trace_(trace) {}
 
-Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
-                                                 double confidence,
-                                                 FrameWindow window) {
+int64_t PositiveTrainingFrames(const StreamData& stream, int class_id) {
+  int64_t positives = 0;
+  for (int c : stream.train_labels->Counts(class_id)) {
+    if (c > 0) ++positives;
+  }
+  return positives;
+}
+
+Result<FrameWindow> AggregationExecutor::BeginRun(double error,
+                                                  double confidence,
+                                                  FrameWindow window) {
   if (error <= 0 || confidence <= 0 || confidence >= 1) {
     return Status::InvalidArgument(
         "aggregation requires error > 0 and confidence in (0,1)");
   }
-  window = ClampFrameWindow(window, stream_->test_day->num_frames());
   nn_counts_.clear();
   nn_bootstrap_.reset();
+  return ClampFrameWindow(window, stream_->test_day->num_frames());
+}
+
+Result<AggregateResult> AggregationExecutor::RunPlainAqp(int class_id,
+                                                         double error,
+                                                         double confidence,
+                                                         FrameWindow window) {
+  BLAZEIT_ASSIGN_OR_RETURN(window, BeginRun(error, confidence, window));
+  if (window.end <= window.begin) return AggregateResult();
+  return SamplePlainAqp(class_id, error, confidence, window, CostMeter{});
+}
+
+Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
+                                                 double confidence,
+                                                 FrameWindow window) {
+  BLAZEIT_ASSIGN_OR_RETURN(window, BeginRun(error, confidence, window));
   if (window.end <= window.begin) {
     // Range entirely past the recorded day: zero frames satisfy the
     // predicate, so the count over the range is exactly 0 — consistent
     // with the empty results the other executors return, and free.
-    AggregateResult empty;
-    return empty;
+    return AggregateResult();
   }
   CostMeter meter;
 
   // --- sufficiency of training data (Algorithm 1 precondition) ---
-  const std::vector<int>& train_counts =
-      stream_->train_labels->Counts(class_id);
-  int64_t positives = 0;
-  for (int c : train_counts) {
-    if (c > 0) ++positives;
-  }
-  if (positives < options_.min_positive_examples) {
+  const int64_t positives = PositiveTrainingFrames(*stream_, class_id);
+  if (positives < kMinPositiveTrainingFrames) {
     BLAZEIT_LOG(kDebug) << "insufficient training data for class "
                         << ClassName(class_id) << " (" << positives
                         << " positive frames); defaulting to AQP";
-    return RunPlainAqp(class_id, error, confidence, window, meter);
+    return SamplePlainAqp(class_id, error, confidence, window, meter);
   }
+  const std::vector<int>& train_counts =
+      stream_->train_labels->Counts(class_id);
 
   // --- train the specialized counting NN on the labeled day ---
   SpecializedNNConfig nn_config = options_.nn;
@@ -134,7 +153,7 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
   }
 
   if (!options_.allow_control_variates) {
-    return RunPlainAqp(class_id, error, confidence, window, meter);
+    return SamplePlainAqp(class_id, error, confidence, window, meter);
   }
 
   // --- control variates: NN as the cheap correlated auxiliary ---
@@ -187,13 +206,25 @@ Result<AggregateResult> AggregationExecutor::Run(int class_id, double error,
   return result;
 }
 
-Result<AggregateResult> AggregationExecutor::RunPlainAqp(int class_id,
-                                                         double error,
-                                                         double confidence,
-                                                         FrameWindow window,
-                                                         CostMeter meter) {
-  obs::TraceSpan span(trace_, "estimate:plain-aqp", &meter);
-  const std::vector<int>& test_truth = stream_->test_labels->Counts(class_id);
+Result<AggregateResult> AggregationExecutor::SamplePlainAqp(
+    int class_id, double error, double confidence, FrameWindow window,
+    CostMeter meter) {
+  SamplingConfig sampling;
+  sampling.error = error;
+  sampling.confidence = confidence;
+  sampling.growth = options_.growth;
+  sampling.seed = HashCombine(options_.seed, 0xdddd);
+  return PlainAqpAggregate(*stream_, class_id, window, sampling, meter,
+                           trace_);
+}
+
+Result<AggregateResult> PlainAqpAggregate(const StreamData& stream,
+                                          int class_id, FrameWindow window,
+                                          SamplingConfig sampling,
+                                          CostMeter meter,
+                                          obs::QueryTrace* trace) {
+  obs::TraceSpan span(trace, "estimate:plain-aqp", &meter);
+  const std::vector<int>& test_truth = stream.test_labels->Counts(class_id);
   CostMeter* meter_ptr = &meter;
   const int64_t window_begin = window.begin;
   FrameOracle oracle = [&test_truth, meter_ptr, window_begin](int64_t frame) {
@@ -201,15 +232,9 @@ Result<AggregateResult> AggregationExecutor::RunPlainAqp(int class_id,
     return static_cast<double>(
         test_truth[static_cast<size_t>(window_begin + frame)]);
   };
-  SamplingConfig sampling;
-  sampling.error = error;
-  sampling.confidence = confidence;
   sampling.value_range =
-      static_cast<double>(stream_->train_labels->MaxCount(class_id)) + 1.0;
-  sampling.growth = options_.growth;
-  sampling.seed = HashCombine(options_.seed, 0xdddd);
-  auto estimate =
-      AdaptiveSample(window.end - window.begin, oracle, sampling);
+      static_cast<double>(stream.train_labels->MaxCount(class_id)) + 1.0;
+  auto estimate = AdaptiveSample(window.end - window.begin, oracle, sampling);
   BLAZEIT_RETURN_NOT_OK(estimate.status());
 
   AggregateResult result;

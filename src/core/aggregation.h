@@ -9,6 +9,7 @@
 #include "nn/specialized_nn.h"
 #include "sim/cost_model.h"
 #include "stats/bootstrap.h"
+#include "stats/sampler.h"
 #include "util/status.h"
 
 namespace blazeit {
@@ -26,14 +27,20 @@ enum class AggregateMethod {
 
 const char* AggregateMethodName(AggregateMethod method);
 
+/// Minimum number of positive training frames for specialization (the
+/// "sufficient training data" test of Algorithm 1). Below it ChoosePlan
+/// picks plain AQP and AggregationExecutor::Run falls back to it.
+constexpr int64_t kMinPositiveTrainingFrames = 50;
+
+/// Training-day frames with at least one instance of `class_id`: the count
+/// both sides of that test read.
+int64_t PositiveTrainingFrames(const StreamData& stream, int class_id);
+
 struct AggregateOptions {
   SpecializedNNConfig nn;
   /// Sample-size growth per adaptive round.
   double growth = 0.2;
   int bootstrap_resamples = 200;
-  /// Minimum number of positive training frames for specialization
-  /// ("sufficient training data" test of Algorithm 1).
-  int64_t min_positive_examples = 50;
   /// Ablation knobs for the Section 10.2 comparisons.
   bool allow_query_rewrite = true;
   bool allow_control_variates = true;
@@ -81,6 +88,14 @@ class AggregationExecutor {
   Result<AggregateResult> Run(int class_id, double error, double confidence,
                               FrameWindow window = FrameWindow{});
 
+  /// Plain AQP over the test-day frames in `window`, with no NN: what Run
+  /// falls back to without enough training data, and the load-shed plan
+  /// for aggregates. Same checks, window semantics and seed as Run's
+  /// fallback, so the two are bit-identical on the same window.
+  Result<AggregateResult> RunPlainAqp(int class_id, double error,
+                                      double confidence,
+                                      FrameWindow window = FrameWindow{});
+
   /// Per-frame expected counts over the last Run's window, from the NN it
   /// trained (empty if the plain-AQP path was taken); used by benchmarks.
   const std::vector<float>& nn_counts() const { return nn_counts_; }
@@ -91,9 +106,15 @@ class AggregationExecutor {
   }
 
  private:
-  Result<AggregateResult> RunPlainAqp(int class_id, double error,
-                                      double confidence, FrameWindow window,
-                                      CostMeter meter);
+  /// Validates the query, clamps `window` to the test day and clears the
+  /// previous run's NN state.
+  Result<FrameWindow> BeginRun(double error, double confidence,
+                               FrameWindow window);
+  /// The plain-AQP sampler with this executor's seed, growth and trace,
+  /// continuing `meter`.
+  Result<AggregateResult> SamplePlainAqp(int class_id, double error,
+                                         double confidence, FrameWindow window,
+                                         CostMeter meter);
 
   StreamData* stream_;
   ArtifactCache* cache_;
@@ -102,6 +123,19 @@ class AggregationExecutor {
   std::vector<float> nn_counts_;
   std::optional<BootstrapResult> nn_bootstrap_;
 };
+
+/// The plain-AQP sampler (Algorithm 1's no-NN plan, and Section 10.2's
+/// Naive AQP baseline): adaptive sampling over the test-day frames in
+/// `window` (already clamped) with the detector as oracle and no variance
+/// reduction. `sampling` supplies error, confidence, growth and seed; its
+/// value_range is set here from the training day's maximum count. Each
+/// sample charges one detector call on top of `meter`; `trace` (nullable)
+/// receives the estimate span.
+Result<AggregateResult> PlainAqpAggregate(const StreamData& stream,
+                                          int class_id, FrameWindow window,
+                                          SamplingConfig sampling,
+                                          CostMeter meter,
+                                          obs::QueryTrace* trace = nullptr);
 
 }  // namespace blazeit
 

@@ -1,37 +1,8 @@
 #include "core/baselines.h"
 
-#include <algorithm>
-
 #include "stats/sampler.h"
-#include "util/random.h"
 
 namespace blazeit {
-
-namespace {
-
-bool FrameSatisfies(StreamData* stream, int64_t frame,
-                    const std::vector<ClassCountRequirement>& reqs) {
-  for (const ClassCountRequirement& req : reqs) {
-    if (stream->test_labels->Counts(req.class_id)[static_cast<size_t>(
-            frame)] < req.min_count) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool OraclePresence(StreamData* stream, int64_t frame,
-                    const std::vector<ClassCountRequirement>& reqs) {
-  for (const ClassCountRequirement& req : reqs) {
-    if (stream->test_labels->Counts(req.class_id)[static_cast<size_t>(
-            frame)] < 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 BaselineResult NaiveAggregate(StreamData* stream, int class_id) {
   BaselineResult out;
@@ -62,70 +33,33 @@ BaselineResult NoScopeOracleAggregate(StreamData* stream, int class_id) {
   return out;
 }
 
-Result<AqpResult> NaiveAqpAggregate(StreamData* stream, int class_id,
-                                    double error, double confidence,
-                                    uint64_t seed) {
-  const std::vector<int>& counts = stream->test_labels->Counts(class_id);
-  AqpResult out;
-  CostMeter* meter = &out.cost;
-  FrameOracle oracle = [&counts, meter](int64_t frame) {
-    meter->ChargeDetection();
-    return static_cast<double>(counts[static_cast<size_t>(frame)]);
-  };
-  SamplingConfig config;
-  config.error = error;
-  config.confidence = confidence;
-  config.value_range =
-      static_cast<double>(stream->train_labels->MaxCount(class_id)) + 1.0;
-  config.seed = seed;
-  auto estimate = AdaptiveSample(
-      static_cast<int64_t>(counts.size()), oracle, config);
-  BLAZEIT_RETURN_NOT_OK(estimate.status());
-  out.estimate = estimate.value().estimate;
-  out.samples_used = estimate.value().samples_used;
-  return out;
+Result<AggregateResult> NaiveAqpAggregate(StreamData* stream, int class_id,
+                                          double error, double confidence,
+                                          uint64_t seed) {
+  SamplingConfig sampling;
+  sampling.error = error;
+  sampling.confidence = confidence;
+  sampling.seed = seed;
+  return PlainAqpAggregate(*stream, class_id,
+                           FrameWindow{0, stream->test_day->num_frames()},
+                           sampling, CostMeter{});
 }
 
-namespace {
-
-ScrubBaselineResult ScanScrub(StreamData* stream,
-                              const std::vector<ClassCountRequirement>& reqs,
-                              int64_t limit, int64_t gap,
-                              bool use_presence_oracle) {
-  ScrubBaselineResult out;
-  int64_t last_accepted = -1;
-  bool limit_reached = false;
-  for (int64_t t = 0; t < stream->test_day->num_frames(); ++t) {
-    if (static_cast<int64_t>(out.frames.size()) >= limit) {
-      limit_reached = true;
-      break;
-    }
-    if (last_accepted >= 0 && gap > 0 && t - last_accepted < gap) continue;
-    if (use_presence_oracle && !OraclePresence(stream, t, reqs)) continue;
-    out.cost.ChargeDetection();
-    if (FrameSatisfies(stream, t, reqs)) {
-      out.frames.push_back(t);
-      last_accepted = t;
-    }
-  }
-  out.limit_satisfied = static_cast<int64_t>(out.frames.size()) >= limit;
-  out.scan_exhausted = !limit_reached;
-  out.detection_calls = out.cost.detection_calls();
-  return out;
+ScrubResult NaiveScrub(StreamData* stream,
+                       const std::vector<ClassCountRequirement>& reqs,
+                       int64_t limit, int64_t gap) {
+  CostMeter meter;
+  return SequentialScan(*stream, reqs, limit, gap,
+                        {{0, stream->test_day->num_frames()}}, &meter);
 }
 
-}  // namespace
-
-ScrubBaselineResult NaiveScrub(StreamData* stream,
+ScrubResult NoScopeOracleScrub(StreamData* stream,
                                const std::vector<ClassCountRequirement>& reqs,
                                int64_t limit, int64_t gap) {
-  return ScanScrub(stream, reqs, limit, gap, /*use_presence_oracle=*/false);
-}
-
-ScrubBaselineResult NoScopeOracleScrub(
-    StreamData* stream, const std::vector<ClassCountRequirement>& reqs,
-    int64_t limit, int64_t gap) {
-  return ScanScrub(stream, reqs, limit, gap, /*use_presence_oracle=*/true);
+  CostMeter meter;
+  return SequentialScan(*stream, reqs, limit, gap,
+                        {{0, stream->test_day->num_frames()}}, &meter,
+                        /*presence_oracle=*/true);
 }
 
 Result<SelectionResult> NaiveSelection(StreamData* stream,

@@ -3,7 +3,9 @@
 
 #include <vector>
 
+#include "core/aggregation.h"
 #include "core/catalog.h"
+#include "core/scrubbing.h"
 #include "core/selection.h"
 #include "core/udf.h"
 #include "frameql/analyzer.h"
@@ -29,41 +31,26 @@ BaselineResult NaiveAggregate(StreamData* stream, int class_id);
 /// several, so occupied frames still need detection).
 BaselineResult NoScopeOracleAggregate(StreamData* stream, int class_id);
 
-/// Naive AQP aggregation: adaptive sampling with the detector as oracle
-/// and no variance reduction.
-struct AqpResult {
-  double estimate = 0.0;
-  CostMeter cost;
-  int64_t samples_used = 0;
-};
-Result<AqpResult> NaiveAqpAggregate(StreamData* stream, int class_id,
-                                    double error, double confidence,
-                                    uint64_t seed);
+/// Naive AQP aggregation (Section 10.2's "Naive AQP"): plain AQP over the
+/// whole test day with the detector as oracle and no variance reduction —
+/// the same sampler the engine's aqp-aggregation plan runs, here seeded
+/// with `seed` itself and the default sample-size growth.
+Result<AggregateResult> NaiveAqpAggregate(StreamData* stream, int class_id,
+                                          double error, double confidence,
+                                          uint64_t seed);
 
-/// Scrubbing baselines share this result shape.
-struct ScrubBaselineResult {
-  std::vector<int64_t> frames;
-  CostMeter cost;
-  int64_t detection_calls = 0;
-  /// True when LIMIT frames were found; false when the video ran out of
-  /// matches first (in which case scan_exhausted is true).
-  bool limit_satisfied = false;
-  /// True when the scan examined every frame of the video without
-  /// reaching LIMIT.
-  bool scan_exhausted = false;
-};
+/// Naive scrubbing: the engine's sequential scan over the whole test day,
+/// detection on every frame until LIMIT matches (GAP apart) are found.
+ScrubResult NaiveScrub(StreamData* stream,
+                       const std::vector<ClassCountRequirement>& reqs,
+                       int64_t limit, int64_t gap);
 
-/// Naive scrubbing: sequential scan with detection on every frame until
-/// LIMIT matches (GAP apart) are found.
-ScrubBaselineResult NaiveScrub(StreamData* stream,
+/// NoScope-oracle scrubbing: the same scan, with the free presence oracle
+/// skipping frames missing any required class; detection verifies the
+/// rest in order.
+ScrubResult NoScopeOracleScrub(StreamData* stream,
                                const std::vector<ClassCountRequirement>& reqs,
                                int64_t limit, int64_t gap);
-
-/// NoScope-oracle scrubbing: the free presence oracle skips frames missing
-/// any required class entirely; detection verifies the rest in order.
-ScrubBaselineResult NoScopeOracleScrub(
-    StreamData* stream, const std::vector<ClassCountRequirement>& reqs,
-    int64_t limit, int64_t gap);
 
 /// Naive selection: detection on every test frame, predicate evaluated on
 /// the detections (Section 10.4's "Naive").

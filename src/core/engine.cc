@@ -134,14 +134,13 @@ ScheduledQuery BlazeItEngine::Admit(const std::string& frameql,
 }
 
 void RecordFlight(const ScheduledQuery& query,
-                  const Result<QueryOutput>& result, bool degraded,
-                  double wall_ms) {
+                  const Result<QueryOutput>& result, double wall_ms) {
   obs::FlightRecord record;
   record.correlation_id = query.correlation_id;
   record.client = query.client;
   record.query = query.frameql;
   record.trace = query.trace;
-  record.degraded = degraded;
+  record.degraded = query.degraded;
   record.wall_ms = wall_ms;
   record.ok = result.ok();
   if (result.ok()) {
@@ -154,7 +153,7 @@ void RecordFlight(const ScheduledQuery& query,
     record.error = result.status().ToString();
   }
   if (record.accuracy_tier.empty()) {
-    record.accuracy_tier = degraded ? "degraded" : "full";
+    record.accuracy_tier = query.degraded ? "degraded" : "full";
   }
   obs::FlightRecorder::Global().Record(std::move(record));
 }
@@ -194,21 +193,26 @@ BatchOutput BlazeItEngine::RunScheduled(std::vector<ScheduledQuery> queries,
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - started)
                                .count();
-    RecordFlight(queries[idx], out.results[idx], /*degraded=*/false, wall_ms);
-    if (on_result) on_result(idx, out.results[idx], out.stats[idx]);
+    RecordFlight(queries[idx], out.results[idx], wall_ms);
+    if (on_result) on_result(idx, std::move(out.results[idx]), out.stats[idx]);
   };
 
   // --- shared-plan pass: group by the admitted group key ---
   // Groups keep first-appearance order and queries keep submission order
   // within a group, so the leader of each group — the query that pays for
   // the group's training run and sweeps — is always the earliest one.
-  // Prepare errors complete here and join no group.
+  // Prepare errors complete here and join no group; a degraded query
+  // shares no sweep, so it runs in a group of its own.
   std::vector<std::vector<size_t>> groups;
   std::unordered_map<uint64_t, size_t> key_to_group;
   for (size_t i = 0; i < n; ++i) {
     if (!queries[i].prepared.ok()) {
       out.results[i] = queries[i].prepared.status();
       complete(i);
+      continue;
+    }
+    if (queries[i].degraded) {
+      groups.push_back({i});
       continue;
     }
     auto [it, inserted] = key_to_group.emplace(queries[i].group_key,
@@ -286,7 +290,18 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
   }
 
   PlanChoice plan;
-  {
+  if (scheduled.degraded) {
+    // Load shedding: the plan the optimizer picks when the training data
+    // cannot support a NN, with no NN training or sweeps.
+    const bool aggregate = query.kind == QueryKind::kAggregate;
+    plan.kind =
+        aggregate ? PlanKind::kAqpAggregation : PlanKind::kScanScrubbing;
+    plan.rationale = aggregate ? "load-shed: sampling estimator, no NN training"
+                               : "load-shed: sketch-only scan, no NN ranking";
+    if (report != nullptr) {
+      report->accuracy_tier = aggregate ? "degraded-sampling" : "degraded-scan";
+    }
+  } else {
     obs::TraceSpan span(trace.get(), "optimize");
     plan = ChoosePlan(query, stream);
   }
@@ -313,8 +328,11 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
                                      trace.get());
         BLAZEIT_ASSIGN_OR_RETURN(
             AggregateResult agg,
-            executor.Run(query.agg_class, query.error, query.confidence,
-                         window));
+            scheduled.degraded
+                ? executor.RunPlainAqp(query.agg_class, query.error,
+                                       query.confidence, window)
+                : executor.Run(query.agg_class, query.error,
+                               query.confidence, window));
         out.scalar = agg.estimate;
         if (query.scale_to_total) {
           // COUNT(*) scales the frame-averaged estimate by the number of
@@ -332,14 +350,15 @@ Result<QueryOutput> BlazeItEngine::ExecutePrepared(
             FrameWindow window,
             ResolveFrameWindow(query, stream->config.fps,
                                stream->test_day->num_frames()));
-        ScrubOptions scrub_options = options_.scrub;
-        scrub_options.use_store_index |= options_.use_store_index;
-        ScrubbingExecutor executor(stream, scrub_options, cache,
-                                   trace.get());
+        ScrubbingExecutor executor(stream, options_.scrub, cache, trace.get(),
+                                   options_.use_store_index);
         BLAZEIT_ASSIGN_OR_RETURN(
             ScrubResult scrub,
-            executor.Run(query.requirements, query.limit, query.gap,
-                         window));
+            scheduled.degraded
+                ? executor.RunScan(query.requirements, query.limit, query.gap,
+                                   window)
+                : executor.Run(query.requirements, query.limit, query.gap,
+                               window));
         out.frames = scrub.frames;
         out.cost = scrub.cost;
         if (report != nullptr) report->sketch = scrub.sketch;
@@ -445,13 +464,9 @@ Result<QueryOutput> BlazeItEngine::ExecuteBinarySelect(
 
   const std::vector<int>& train_counts =
       stream->train_labels->Counts(query.sel_class);
-  int64_t positives = 0;
-  for (int c : train_counts) {
-    if (c > 0) ++positives;
-  }
   const std::vector<int>& test_counts =
       stream->test_labels->Counts(query.sel_class);
-  if (positives == 0) {
+  if (PositiveTrainingFrames(*stream, query.sel_class) == 0) {
     // Cannot specialize: verify every frame in range.
     obs::TraceSpan span(trace, "verify", &out.cost);
     for (int64_t t = window.begin; t < window.end; ++t) {

@@ -29,12 +29,14 @@ struct EngineOptions {
   SelectionOptions selection;
   /// Consult the detection store's per-segment sketches (built with
   /// DetectionStore::BuildSketches or `storecli sketch rebuild`) so full
-  /// scans, count-distinct, and scrubbing skip provably non-matching
-  /// segments without decoding them. Outputs are bit-identical to the
-  /// unindexed path (sketch_invariance_test); only the charged detector
-  /// and NN calls drop. Off by default so cost accounting stays identical
-  /// with and without a store (the store_invariance_test contract); a
-  /// no-op for streams without a store or without current sketches.
+  /// scans, count-distinct, and both scrubbing plans skip provably
+  /// non-matching segments without decoding them. Outputs are
+  /// bit-identical to the unindexed path (sketch_invariance_test); only
+  /// the charged detector and NN calls drop. Off by default so cost
+  /// accounting stays identical with and without a store (the
+  /// store_invariance_test contract); a no-op for streams without a store
+  /// or without current sketches. The one sketch switch: the engine hands
+  /// it to the scrubbing executor.
   bool use_store_index = false;
   /// Attach an obs::ExecutionReport (plan, stage trace, simulated-cost
   /// breakdown, cache/sketch hit rates) to every QueryOutput. Reporting
@@ -140,16 +142,21 @@ struct ScheduledQuery {
   uint64_t group_key = 0;
   /// Serving tenant, for the flight record; empty outside serving.
   std::string client;
+  /// Load shedding: run the query's cheap plan instead of the optimizer's
+  /// — aqp-aggregation (plain AQP over the query's window) for aggregates,
+  /// scan-scrubbing for scrubbing — in a group of its own, with the
+  /// downgrade in the plan description and the report's accuracy tier.
+  /// Only those two kinds have a cheap plan; set it for no other.
+  bool degraded = false;
 };
 
 /// Flight-records one finished query in obs::FlightRecorder::Global() —
-/// the recorder's only writer. `degraded` marks a load-shed run; the
-/// accuracy tier is the report's when there is one, else "full" (or
-/// "degraded"). Observe-only: ids and wall times never feed back into
-/// outputs or reports.
+/// the recorder's only writer. The accuracy tier is the report's when
+/// there is one, else "full" (or "degraded" for a load-shed query).
+/// Observe-only: ids and wall times never feed back into outputs or
+/// reports.
 void RecordFlight(const ScheduledQuery& query,
-                  const Result<QueryOutput>& result, bool degraded,
-                  double wall_ms);
+                  const Result<QueryOutput>& result, double wall_ms);
 
 /// The BlazeIt engine: the public entry point tying everything together.
 /// Parse -> analyze -> rule-based plan choice -> execute (Figure 2).
@@ -199,17 +206,20 @@ class BlazeItEngine {
 
   /// Called as each query's slot completes, from whichever pool worker ran
   /// its group — must be thread-safe. The serving layer streams responses
-  /// back through it as their group finishes.
+  /// back through it as their group finishes. The callback may move the
+  /// result out; the slot in BatchOutput::results then keeps only its
+  /// status (ok() stays valid).
   using ResultCallback =
-      std::function<void(size_t index, const Result<QueryOutput>& result,
+      std::function<void(size_t index, Result<QueryOutput>&& result,
                          const BatchQueryStats& stats)>;
 
   /// The back half of every entry point. Groups the admitted queries by
   /// group key (first-appearance order; prepare errors join no group and
-  /// complete first), runs the groups concurrently on the exec pool under
-  /// `budget` while queries inside a group run serially, leader first, and
-  /// feeds each query through its own SweepCacheView over `sweeps` so one
-  /// NN training run and per-frame sweep serve the whole group. A null
+  /// complete first, degraded queries get a group each), runs the groups
+  /// concurrently on the exec pool under `budget` while queries inside a
+  /// group run serially, leader first, and feeds each query through its
+  /// own SweepCacheView over `sweeps` so one NN training run and per-frame
+  /// sweep serve the whole group. A null
   /// `sweeps` gives every query the standalone view (no shared tier, and
   /// report->batch_group stays -1). Every query is flight-recorded on
   /// completion, with wall time measured from the start of the run.
@@ -232,11 +242,11 @@ class BlazeItEngine {
   EngineOptions* mutable_options() { return &options_; }
 
  private:
-  /// Plan choice + dispatch of one admitted, successfully prepared query.
-  /// `cache` is the query's own view onto the artifact tiers and counts
-  /// its traffic for the report; the query's text and trace feed the
-  /// ExecutionReport when options_.collect_reports is on. Only
-  /// RunScheduled calls it.
+  /// Plan choice (or the cheap plan of a degraded query) + dispatch of one
+  /// admitted, successfully prepared query. `cache` is the query's own
+  /// view onto the artifact tiers and counts its traffic for the report;
+  /// the query's text and trace feed the ExecutionReport when
+  /// options_.collect_reports is on. Only RunScheduled calls it.
   Result<QueryOutput> ExecutePrepared(const ScheduledQuery& scheduled,
                                       SweepCacheView* cache);
 

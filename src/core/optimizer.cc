@@ -1,5 +1,7 @@
 #include "core/optimizer.h"
 
+#include "core/aggregation.h"
+#include "core/scrubbing.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -29,31 +31,6 @@ const char* PlanKindName(PlanKind kind) {
 
 namespace {
 
-int64_t PositiveTrainingFrames(StreamData* stream, int class_id) {
-  int64_t positives = 0;
-  for (int c : stream->train_labels->Counts(class_id)) {
-    if (c > 0) ++positives;
-  }
-  return positives;
-}
-
-int64_t JointTrainingInstances(StreamData* stream,
-                               const std::vector<ClassCountRequirement>& reqs) {
-  int64_t instances = 0;
-  for (int64_t t = 0; t < stream->train_day->num_frames(); ++t) {
-    bool match = true;
-    for (const ClassCountRequirement& req : reqs) {
-      if (stream->train_labels->Counts(req.class_id)[static_cast<size_t>(
-              t)] < req.min_count) {
-        match = false;
-        break;
-      }
-    }
-    if (match) ++instances;
-  }
-  return instances;
-}
-
 /// "; sketch-answerable: …" suffix for the plan rationale. Derived from
 /// the query's analyzer annotation only (never from whether an index
 /// actually exists), so plan descriptions are identical with and without
@@ -76,8 +53,9 @@ PlanChoice ChoosePlan(const AnalyzedQuery& query, StreamData* stream) {
   PlanChoice choice;
   switch (query.kind) {
     case QueryKind::kAggregate: {
-      int64_t positives = PositiveTrainingFrames(stream, query.agg_class);
-      if (positives >= 50) {
+      const int64_t positives =
+          PositiveTrainingFrames(*stream, query.agg_class);
+      if (positives >= kMinPositiveTrainingFrames) {
         choice.kind = PlanKind::kSpecializedAggregation;
         choice.rationale = StrFormat(
             "aggregate with error tolerance %.3g; %lld positive training "
@@ -99,7 +77,8 @@ PlanChoice ChoosePlan(const AnalyzedQuery& query, StreamData* stream) {
           SketchAnnotation(query);
       return choice;
     case QueryKind::kScrubbing: {
-      int64_t instances = JointTrainingInstances(stream, query.requirements);
+      const int64_t instances =
+          JointTrainingInstances(*stream, query.requirements);
       if (instances > 0) {
         choice.kind = PlanKind::kImportanceScrubbing;
         choice.rationale =

@@ -49,6 +49,25 @@ bool SatisfiesRequirements(const StreamData& stream, int64_t frame,
   return true;
 }
 
+int64_t JointTrainingInstances(
+    const StreamData& stream,
+    const std::vector<ClassCountRequirement>& reqs) {
+  std::vector<const std::vector<int>*> counts;
+  for (const ClassCountRequirement& req : reqs) {
+    counts.push_back(&stream.train_labels->Counts(req.class_id));
+  }
+  int64_t instances = 0;
+  for (int64_t t = 0; t < stream.train_day->num_frames(); ++t) {
+    size_t r = 0;
+    while (r < reqs.size() &&
+           (*counts[r])[static_cast<size_t>(t)] >= reqs[r].min_count) {
+      ++r;
+    }
+    if (r == reqs.size()) ++instances;
+  }
+  return instances;
+}
+
 RequirementStats CountRequirementInstances(
     const StreamData& stream,
     const std::vector<ClassCountRequirement>& reqs) {
@@ -144,15 +163,29 @@ bool InRanges(const std::vector<SketchIndex::FrameRange>& ranges,
 
 ScrubbingExecutor::ScrubbingExecutor(StreamData* stream, ScrubOptions options,
                                      ArtifactCache* sweep_cache,
-                                     obs::QueryTrace* trace)
+                                     obs::QueryTrace* trace,
+                                     bool use_store_index)
     : stream_(stream),
       cache_(sweep_cache != nullptr ? sweep_cache : stream->artifact_cache),
       options_(options),
-      trace_(trace) {}
+      trace_(trace),
+      use_store_index_(use_store_index) {}
 
 Result<ScrubResult> ScrubbingExecutor::Run(
     const std::vector<ClassCountRequirement>& reqs, int64_t limit,
     int64_t gap, FrameWindow window) {
+  return Execute(reqs, limit, gap, window, /*scan_only=*/false);
+}
+
+Result<ScrubResult> ScrubbingExecutor::RunScan(
+    const std::vector<ClassCountRequirement>& reqs, int64_t limit,
+    int64_t gap, FrameWindow window) {
+  return Execute(reqs, limit, gap, window, /*scan_only=*/true);
+}
+
+Result<ScrubResult> ScrubbingExecutor::Execute(
+    const std::vector<ClassCountRequirement>& reqs, int64_t limit,
+    int64_t gap, FrameWindow window, bool scan_only) {
   if (reqs.empty())
     return Status::InvalidArgument("scrubbing needs at least one class");
   if (limit <= 0) return Status::InvalidArgument("limit must be positive");
@@ -173,7 +206,7 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   probe.requirements = reqs;
   obs::SketchStats sketch;
   const std::vector<SketchIndex::FrameRange> candidates =
-      SketchCandidateRanges(*stream_, window, probe, options_.use_store_index,
+      SketchCandidateRanges(*stream_, window, probe, use_store_index_,
                             &sketch);
   if (candidates.empty()) {
     // Every segment of the window is provably free of matches.
@@ -185,38 +218,19 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   const int64_t n_window = window.end - window.begin;
 
   // --- training-data check (Section 7.1): any instance in the train day?
-  // Sharded count scan; the sum folds in shard order (exact integers).
-  std::vector<const std::vector<int>*> train_counts;
-  train_counts.reserve(reqs.size());
-  for (const ClassCountRequirement& req : reqs) {
-    train_counts.push_back(&stream_->train_labels->Counts(req.class_id));
-  }
-  std::vector<int64_t> shard_instances = exec::ParallelMap<int64_t>(
-      stream_->train_day->num_frames(), exec::kDefaultShardSize,
-      [&](int64_t begin, int64_t end, int /*slot*/) {
-        int64_t matched = 0;
-        for (int64_t t = begin; t < end; ++t) {
-          bool match = true;
-          for (size_t r = 0; r < train_counts.size(); ++r) {
-            if ((*train_counts[r])[static_cast<size_t>(t)] <
-                reqs[r].min_count) {
-              match = false;
-              break;
-            }
-          }
-          if (match) ++matched;
-        }
-        return matched;
-      });
-  int64_t train_instances = 0;
-  for (int64_t count : shard_instances) train_instances += count;
-  if (train_instances == 0) {
-    BLAZEIT_LOG(kDebug) << "no instances of the scrubbing query in the "
-                           "training set; falling back to sequential scan";
-    Result<ScrubResult> fallback =
-        RunSequentialFallback(reqs, limit, gap, meter, candidates);
-    if (fallback.ok()) fallback.value().sketch = sketch;
-    return fallback;
+  const bool fell_back =
+      !scan_only && JointTrainingInstances(*stream_, reqs) == 0;
+  if (scan_only || fell_back) {
+    if (fell_back) {
+      BLAZEIT_LOG(kDebug) << "no instances of the scrubbing query in the "
+                             "training set; falling back to sequential scan";
+    }
+    obs::TraceSpan span(trace_, "scan", &meter);
+    ScrubResult result =
+        SequentialScan(*stream_, reqs, limit, gap, candidates, &meter);
+    result.fell_back_to_scan = fell_back;
+    result.sketch = sketch;
+    return result;
   }
 
   // --- train one NN with a count head per class ---
@@ -333,14 +347,22 @@ Result<ScrubResult> ScrubbingExecutor::Run(
   return result;
 }
 
-Result<ScrubResult> ScrubbingExecutor::RunSequentialFallback(
-    const std::vector<ClassCountRequirement>& reqs, int64_t limit,
-    int64_t gap, CostMeter meter,
-    const std::vector<SketchIndex::FrameRange>& ranges) {
-  obs::TraceSpan span(trace_, "scan", &meter);
+ScrubResult SequentialScan(const StreamData& stream,
+                           const std::vector<ClassCountRequirement>& reqs,
+                           int64_t limit, int64_t gap,
+                           const std::vector<SketchIndex::FrameRange>& ranges,
+                           CostMeter* meter, bool presence_oracle) {
+  // The oracle's free check: at least one instance of every class.
+  std::vector<ClassCountRequirement> presence;
+  if (presence_oracle) {
+    for (const ClassCountRequirement& req : reqs) {
+      presence.push_back({req.class_id, 1});
+    }
+  }
   ScrubResult result;
-  result.fell_back_to_scan = true;
-  std::vector<int64_t> accepted_sorted;
+  // Frames are visited in ascending order, so the GAP test needs only the
+  // latest accepted frame.
+  int64_t last_accepted = -1;
   bool limit_reached = false;
   for (const auto& range : ranges) {
     for (int64_t t = range.begin; t < range.end; ++t) {
@@ -348,11 +370,14 @@ Result<ScrubResult> ScrubbingExecutor::RunSequentialFallback(
         limit_reached = true;
         break;
       }
-      if (!GapAdmissible(accepted_sorted, t, gap)) continue;
-      meter.ChargeDetection();
-      if (SatisfiesRequirements(*stream_, t, reqs)) {
+      if (last_accepted >= 0 && t - last_accepted < gap) continue;
+      if (presence_oracle && !SatisfiesRequirements(stream, t, presence)) {
+        continue;
+      }
+      meter->ChargeDetection();
+      if (SatisfiesRequirements(stream, t, reqs)) {
         result.frames.push_back(t);
-        InsertSorted(&accepted_sorted, t);
+        last_accepted = t;
       }
     }
     if (limit_reached) break;
@@ -360,9 +385,9 @@ Result<ScrubResult> ScrubbingExecutor::RunSequentialFallback(
   result.limit_satisfied =
       static_cast<int64_t>(result.frames.size()) >= limit;
   result.scan_exhausted = !limit_reached;
-  result.indexed_seconds = meter.detection_seconds();
-  result.detection_calls = meter.detection_calls();
-  result.cost = meter;
+  result.indexed_seconds = meter->detection_seconds();
+  result.detection_calls = meter->detection_calls();
+  result.cost = *meter;
   return result;
 }
 

@@ -25,14 +25,6 @@ struct ScrubOptions {
   /// and measures better in bench_ablation_scrubbing.
   bool conjunctive_product = false;
   uint64_t seed = 1;
-  /// Consult the detection store's per-segment sketches (see
-  /// storage/segment_sketch.h) to skip provably non-matching segments:
-  /// the NN scores only sketch-candidate frames (with smoothing off) and
-  /// both the verification walk and the scan fallback skip refuted
-  /// segments. Returned frames are bit-identical to the unindexed run —
-  /// only the charged NN/detector calls drop. A no-op unless the stream
-  /// is store-backed and sketches are built and current.
-  bool use_store_index = false;
 };
 
 struct ScrubResult {
@@ -74,16 +66,30 @@ class ScrubbingExecutor {
   /// SweepCacheView in here, so batched queries share NN sweeps and every
   /// query's cache traffic is counted); nullptr keeps the stream's
   /// persistent cache. `trace` (nullable) receives train/sweep/verify
-  /// stage spans.
+  /// stage spans. `use_store_index` consults the detection store's
+  /// per-segment sketches (storage/segment_sketch.h) to skip provably
+  /// non-matching segments: the NN scores only sketch-candidate frames
+  /// (with smoothing off) and both the verification walk and the scan
+  /// skip refuted segments. Returned frames are bit-identical to the
+  /// unindexed run — only the charged NN/detector calls drop. A no-op
+  /// unless the stream is store-backed and sketches are built and current.
   ScrubbingExecutor(StreamData* stream, ScrubOptions options = {},
                     ArtifactCache* sweep_cache = nullptr,
-                    obs::QueryTrace* trace = nullptr);
+                    obs::QueryTrace* trace = nullptr,
+                    bool use_store_index = false);
 
   /// Finds LIMIT matching frames among the test-day frames in `window`
   /// (default: the whole day).
   Result<ScrubResult> Run(const std::vector<ClassCountRequirement>& reqs,
                           int64_t limit, int64_t gap,
                           FrameWindow window = FrameWindow{});
+
+  /// The sequential-scan plan over the same candidates Run would walk,
+  /// without training or ranking: what Run falls back to when the training
+  /// day has no instances, and the load-shed plan for scrubbing.
+  Result<ScrubResult> RunScan(const std::vector<ClassCountRequirement>& reqs,
+                              int64_t limit, int64_t gap,
+                              FrameWindow window = FrameWindow{});
 
   /// Confidence scores over the last Run's scored frames in ascending
   /// frame order — the whole window, or only the sketch-candidate frames
@@ -92,25 +98,38 @@ class ScrubbingExecutor {
   const std::vector<float>& confidences() const { return confidences_; }
 
  private:
-  Result<ScrubResult> RunSequentialFallback(
-      const std::vector<ClassCountRequirement>& reqs, int64_t limit,
-      int64_t gap, CostMeter meter,
-      const std::vector<SketchIndex::FrameRange>& ranges);
+  /// Run's and RunScan's shared body; `scan_only` skips the NN plan.
+  Result<ScrubResult> Execute(const std::vector<ClassCountRequirement>& reqs,
+                              int64_t limit, int64_t gap, FrameWindow window,
+                              bool scan_only);
 
   StreamData* stream_;
   ArtifactCache* cache_;
   ScrubOptions options_;
   obs::QueryTrace* trace_;
+  bool use_store_index_;
   std::vector<float> confidences_;
 };
+
+/// The LIMIT/GAP sequential scan (Section 7.1's fallback and the paper's
+/// Naive scrubbing baseline): walks `ranges` (ascending, disjoint test-day
+/// frame ranges) in frame order, charges `meter` one detector call per
+/// GAP-admissible frame, and accepts frames satisfying `reqs` until LIMIT
+/// are found. `presence_oracle` skips, for free, frames missing any
+/// required class (Section 10.1.1's NoScope oracle). The result's cost is
+/// `*meter` at the end of the scan.
+ScrubResult SequentialScan(const StreamData& stream,
+                           const std::vector<ClassCountRequirement>& reqs,
+                           int64_t limit, int64_t gap,
+                           const std::vector<SketchIndex::FrameRange>& ranges,
+                           CostMeter* meter, bool presence_oracle = false);
 
 /// Candidate subranges of `window` under the stream's sketch index for
 /// `probe`, or the whole window (nothing when it is empty) when
 /// `use_store_index` is off, the stream has no store, or no current index
 /// exists. `sketch` (nullable) receives the consultation outcome for the
 /// query's ExecutionReport. The one front end of every sketch-pruned walk:
-/// scrubbing, full scan, count-distinct, and the serving layer's
-/// load-shed scan.
+/// scrubbing (both plans), full scan and count-distinct.
 std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
     const StreamData& stream, FrameWindow window, const SketchProbe& probe,
     bool use_store_index, obs::SketchStats* sketch);
@@ -118,6 +137,12 @@ std::vector<SketchIndex::FrameRange> SketchCandidateRanges(
 /// True if the frame's per-class counts satisfy every requirement.
 bool SatisfiesRequirements(const StreamData& stream, int64_t frame,
                            const std::vector<ClassCountRequirement>& reqs);
+
+/// Training-day frames satisfying every requirement. Zero means no NN can
+/// be trained for the query, so both the optimizer (ChoosePlan) and Run
+/// pick the sequential scan (Section 7.1) on this one count.
+int64_t JointTrainingInstances(const StreamData& stream,
+                               const std::vector<ClassCountRequirement>& reqs);
 
 /// Number of test-day frames satisfying the requirements, and the number
 /// of distinct events (maximal runs of consecutive satisfying frames) —

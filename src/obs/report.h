@@ -60,9 +60,9 @@ struct ExecutionReport {
   int64_t batch_group = -1;
   /// Accuracy tier the query actually ran at. "full" is the normal
   /// engine path (the optimizer's plan, paper guarantees intact); the
-  /// serving layer sets "degraded-sampling" / "degraded-scan" when load
-  /// shedding downgraded the query to a cheap baseline, so the downgrade
-  /// is visible to clients in the report.
+  /// engine sets "degraded-sampling" / "degraded-scan" when load shedding
+  /// ran the query on its cheap plan (ScheduledQuery::degraded), so the
+  /// downgrade is visible to clients in the report.
   std::string accuracy_tier = "full";
 
   // --- simulated-cost breakdown (== the QueryOutput's CostMeter) ---

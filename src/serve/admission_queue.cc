@@ -6,14 +6,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/baselines.h"
-#include "core/optimizer.h"
-#include "core/scrubbing.h"
 #include "exec/thread_pool.h"
 #include "net/http.h"
 #include "obs/debug_server.h"
 #include "obs/metrics.h"
-#include "storage/segment_sketch.h"
 #include "util/string_util.h"
 
 namespace blazeit {
@@ -42,13 +38,6 @@ obs::Counter* CancelledCounter() {
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "serve.cancelled", obs::Stability::kStable);
   return counter;
-}
-
-/// Milliseconds elapsed since `start` on the steady clock.
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
 }
 
 obs::Gauge* QueueDepthGauge() {
@@ -241,7 +230,7 @@ Status AdmissionQueue::Cancel(int64_t ticket) {
     QueueDepthGauge()->Set(static_cast<int64_t>(pending_.size()));
   }
   resp.output = Status::Cancelled("cancelled before execution");
-  RecordFlight(entry.query, resp.output, /*degraded=*/false, /*wall_ms=*/0.0);
+  RecordFlight(entry.query, resp.output, /*wall_ms=*/0.0);
   // Deliver takes mu_ itself.
   Deliver(std::move(resp));
   return Status::OK();
@@ -296,6 +285,7 @@ ServeResponse AdmissionQueue::ResponseFor(const PendingEntry& entry,
   resp.frameql = entry.query.frameql;
   resp.admitted_tick = entry.admitted_tick;
   resp.executed_tick = tick;
+  resp.degraded = entry.query.degraded;
   return resp;
 }
 
@@ -334,44 +324,37 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
                                                 obs::Stability::kStable);
   batches_counter->Add();
 
-  // Shed queries run their cheap baseline here; everything else —
-  // prepare errors included — goes to one RunScheduled call against the
-  // queue's sweeps (warm across windows). Its callback streams each
-  // response out as its group completes, from whichever pool worker ran
-  // it.
+  // Every entry — shed and prepare errors included — goes to one
+  // RunScheduled call against the queue's sweeps (warm across windows); a
+  // shed aggregate or scrubbing query runs there as a degraded query, on
+  // the engine's cheap plan. The callback streams each response out as its
+  // group completes, from whichever pool worker ran it.
   const size_t n = batch.size();
   std::vector<ServeResponse> shells(n);
   std::vector<ScheduledQuery> scheduled;
-  std::vector<size_t> slots;  // scheduled index -> batch index
+  scheduled.reserve(n);
   int64_t shed_this_batch = 0;
   for (size_t i = 0; i < n; ++i) {
     PendingEntry& entry = batch[i];
-    shells[i] = ResponseFor(entry, executed_tick);
     const Result<PreparedQuery>& prepared = entry.query.prepared;
-    if (entry.shed && prepared.ok() &&
+    entry.query.degraded =
+        entry.shed && prepared.ok() &&
         (prepared.value().query.kind == QueryKind::kAggregate ||
-         prepared.value().query.kind == QueryKind::kScrubbing)) {
+         prepared.value().query.kind == QueryKind::kScrubbing);
+    if (entry.query.degraded) {
       shed_counter->Add();
       ++shed_this_batch;
-      ServeResponse& resp = shells[i];
-      resp.degraded = true;
-      const auto shed_started = std::chrono::steady_clock::now();
-      resp.output = RunDegraded(prepared.value(), entry.query.frameql);
-      RecordFlight(entry.query, resp.output, /*degraded=*/true,
-                   MsSince(shed_started));
-      Deliver(std::move(resp));
-      continue;
     }
+    shells[i] = ResponseFor(entry, executed_tick);
     scheduled.push_back(std::move(entry.query));
-    slots.push_back(i);
   }
 
   BatchOutput outcome = engine_->RunScheduled(
       std::move(scheduled), &sweeps_, ThreadPool::Budget::kServing,
-      [&](size_t j, const Result<QueryOutput>& result,
+      [&](size_t i, Result<QueryOutput>&& result,
           const BatchQueryStats& stats) {
-        ServeResponse resp = shells[slots[j]];
-        resp.output = result;
+        ServeResponse resp = shells[i];
+        resp.output = std::move(result);
         resp.stats = stats;
         Deliver(std::move(resp));
       });
@@ -384,11 +367,11 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
   ++stats_.batches;
   stats_.shed += shed_this_batch;
   stats_.groups += outcome.groups;
-  for (size_t j = 0; j < slots.size(); ++j) {
-    if (!outcome.results[j].ok()) continue;
-    const BatchQueryStats& qs = outcome.stats[j];
+  for (size_t i = 0; i < n; ++i) {
+    if (!outcome.results[i].ok()) continue;
+    const BatchQueryStats& qs = outcome.stats[i];
     ++group_sizes[qs.group];
-    group_clients[qs.group].insert(shells[slots[j]].client);
+    group_clients[qs.group].insert(shells[i].client);
     stats_.shared_nn_frames += qs.shared_nn_frames;
     stats_.shared_filter_frames += qs.shared_filter_frames;
     stats_.shared_models += qs.shared_models;
@@ -401,86 +384,6 @@ void AdmissionQueue::RunPending(util::MutexLock& lock) {
   for (const auto& [group, clients] : group_clients) {
     if (clients.size() > 1) ++stats_.cross_client_groups;
   }
-}
-
-Result<QueryOutput> AdmissionQueue::RunDegraded(const PreparedQuery& prepared,
-                                                const std::string& frameql) {
-  const AnalyzedQuery& query = prepared.query;
-  StreamData* stream = prepared.stream;
-  BLAZEIT_ASSIGN_OR_RETURN(
-      FrameWindow window,
-      ResolveFrameWindow(query, stream->config.fps,
-                         stream->test_day->num_frames()));
-  QueryOutput out;
-  out.kind = query.kind;
-  std::shared_ptr<obs::ExecutionReport> report;
-  if (engine_->options().collect_reports) {
-    report = std::make_shared<obs::ExecutionReport>();
-    report->query = frameql;
-  }
-
-  if (query.kind == QueryKind::kAggregate) {
-    // The paper's plain sampling estimator: no NN training, no sweeps —
-    // the cheap path under pressure. It samples the whole test day, so a
-    // windowed query's estimate is the day-wide frame average scaled to
-    // the window (an accuracy trade the report discloses).
-    out.plan = PlanKind::kAqpAggregation;
-    out.plan_description =
-        "load-shed: sampling estimator, no NN training";
-    BLAZEIT_ASSIGN_OR_RETURN(
-        AqpResult aqp,
-        NaiveAqpAggregate(stream, query.agg_class, query.error,
-                          query.confidence,
-                          engine_->options().aggregate.seed));
-    out.scalar = aqp.estimate;
-    if (query.scale_to_total) {
-      out.scalar *= static_cast<double>(window.end - window.begin);
-    }
-    out.cost = aqp.cost;
-    if (report != nullptr) report->accuracy_tier = "degraded-sampling";
-  } else {
-    // Sketch-only scan: no NN ranking; the sketch index (when current)
-    // still skips refuted segments, so shedding keeps the index's pruning
-    // while dropping the expensive specialized-NN ordering.
-    out.plan = PlanKind::kScanScrubbing;
-    out.plan_description = "load-shed: sketch-only scan, no NN ranking";
-    // Requirements-only probe: the shed scan checks nothing else per frame.
-    SketchProbe probe;
-    probe.score_threshold = stream->config.detection_threshold;
-    probe.requirements = query.requirements;
-    const std::vector<SketchIndex::FrameRange> ranges = SketchCandidateRanges(
-        *stream, window, probe, engine_->options().use_store_index,
-        report != nullptr ? &report->sketch : nullptr);
-    int64_t last_accepted = -1;
-    bool limit_reached = false;
-    for (const auto& range : ranges) {
-      for (int64_t t = range.begin; t < range.end && !limit_reached; ++t) {
-        if (static_cast<int64_t>(out.frames.size()) >= query.limit) {
-          limit_reached = true;
-          break;
-        }
-        if (last_accepted >= 0 && query.gap > 0 &&
-            t - last_accepted < query.gap) {
-          continue;
-        }
-        out.cost.ChargeDetection();
-        if (SatisfiesRequirements(*stream, t, query.requirements)) {
-          out.frames.push_back(t);
-          last_accepted = t;
-        }
-      }
-      if (limit_reached) break;
-    }
-    if (report != nullptr) report->accuracy_tier = "degraded-scan";
-  }
-
-  if (report != nullptr) {
-    report->plan = PlanKindName(out.plan);
-    report->plan_description = out.plan_description;
-    report->FillCost(out.cost);
-    out.report = std::move(report);
-  }
-  return out;
 }
 
 }  // namespace serve

@@ -30,12 +30,14 @@ struct ServeOptions {
   /// Per-client bound on pending queries (fairness: one chatty client
   /// cannot fill the whole queue). Exceeding it is ResourceExhausted.
   int64_t per_client_quota = 32;
-  /// Load shedding: a query admitted while the pending depth is at or
-  /// above this executes on the paper's cheap baseline instead of the
-  /// optimizer's plan (aggregates -> sampling estimator, scrubbing ->
-  /// sketch-only scan; other kinds always run the full plan). The
-  /// downgrade is reported in the response and its ExecutionReport
-  /// accuracy_tier. < 0 disables shedding.
+  /// Load shedding: an aggregate or scrubbing query admitted while the
+  /// pending depth is at or above this runs as a degraded query
+  /// (ScheduledQuery::degraded) on the engine's cheap plan instead of the
+  /// optimizer's: plain AQP over the query's window for aggregates, the
+  /// sequential scan (sketch-pruned when the index is on) for scrubbing.
+  /// Other kinds always run the full plan. The downgrade is reported in
+  /// the response and its ExecutionReport accuracy_tier. < 0 disables
+  /// shedding.
   int64_t shed_depth = -1;
   /// Worker caps applied to the process pool's sub-pool budgets while
   /// this queue exists (<= 0 leaves a budget unlimited): `serving_budget`
@@ -63,12 +65,13 @@ struct ServeResponse {
   int64_t correlation_id = -1;
   int64_t admitted_tick = 0;
   int64_t executed_tick = 0;
-  /// Load shedding downgraded this query to a baseline plan.
+  /// Load shedding downgraded this query to the engine's cheap plan.
   bool degraded = false;
   Result<QueryOutput> output{Status::Internal("pending")};
   /// Shared-sweep accounting within the coalesced batch (group index,
   /// NN frames / models served from another client's sweep). All-zero
-  /// for failed or degraded queries.
+  /// for failed queries; a degraded query has a group of its own and
+  /// shares nothing.
   BatchQueryStats stats;
 };
 
@@ -182,16 +185,12 @@ class AdmissionQueue {
   /// asserted at runtime instead.
   void RunPending(util::MutexLock& lock) BLAZEIT_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// The shed path: the paper's cheap baseline for `prepared`'s kind.
-  Result<QueryOutput> RunDegraded(const PreparedQuery& prepared,
-                                  const std::string& frameql);
-
   /// Response shell of `entry` (output still pending), cut at `tick`.
   static ServeResponse ResponseFor(const PendingEntry& entry, int64_t tick);
 
   /// Moves the response into the completed set. Flight recording is the
-  /// caller's: RunScheduled records what it runs, and the shed and cancel
-  /// paths call RecordFlight themselves.
+  /// caller's: RunScheduled records what it runs, and Cancel calls
+  /// RecordFlight itself.
   void Deliver(ServeResponse&& response) BLAZEIT_EXCLUDES(mu_);
 
   /// The wall-clock window driver (runs only when wall_clock_tick_ms>0).

@@ -2,13 +2,14 @@
 // queue, per-client quotas -> ResourceExhausted), deterministic
 // virtual-clock batching windows, zero-window pass-through that is
 // bit-identical to serial Execute, parse errors landing in the response
-// slot (not the Submit result), load shedding downgrading aggregates and
-// scrubbing to the paper's cheap baselines with the downgrade disclosed
-// in the ExecutionReport's accuracy_tier, and cross-client coalescing
-// surfacing in ServerStats. Everything here avoids NN training (naive
-// selections, exhaustive scans, shed baselines) so the suite stays in
-// the fast lane; the bit-identity sweep across pool sizes lives in
-// serve_determinism_test.cc.
+// slot (not the Submit result), load shedding running aggregates and
+// scrubbing as degraded queries on the engine's cheap plans — plain AQP
+// over the query's window, the executor's sequential scan — with the
+// downgrade disclosed in the ExecutionReport's accuracy_tier, and
+// cross-client coalescing surfacing in ServerStats. Everything here avoids
+// NN training (naive selections, exhaustive scans, shed queries) so the
+// suite stays in the fast lane; the bit-identity sweep across pool sizes
+// lives in serve_determinism_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/aggregation.h"
 #include "core/engine.h"
+#include "core/scrubbing.h"
 #include "core/optimizer.h"
 #include "obs/flight_recorder.h"
 #include "serve/admission_queue.h"
@@ -246,6 +249,75 @@ TEST_F(ServeTest, ShedScrubbingDowngradesToSketchOnlyScan) {
   EXPECT_EQ(out.cost.specialized_nn_calls(), 0);
   ASSERT_NE(out.report, nullptr);
   EXPECT_EQ(out.report->accuracy_tier, "degraded-scan");
+}
+
+// A shed aggregate runs the engine's plain-AQP plan over the query's own
+// window: bit-identical to AggregationExecutor::RunPlainAqp there, not a
+// day-wide estimate.
+TEST_F(ServeTest, ShedAggregateIsPlainAqpOverItsWindow) {
+  const char kWindowed[] =
+      "SELECT FCOUNT(*) FROM taipei WHERE class = 'car' AND timestamp >= 10 "
+      "AND timestamp < 25 ERROR WITHIN 0.1 AT CONFIDENCE 95%";
+  ServeOptions options;
+  options.window_ticks = 100;
+  options.shed_depth = 0;
+  AdmissionQueue queue(engine_, options);
+  BLAZEIT_ASSERT_OK(queue.Submit("alice", kWindowed));
+  queue.Drain();
+  std::vector<ServeResponse> completed = queue.TakeCompleted();
+  ASSERT_EQ(completed.size(), 1u);
+  ASSERT_TRUE(completed[0].degraded);
+  BLAZEIT_ASSERT_OK(completed[0].output);
+  const QueryOutput& shed = completed[0].output.value();
+
+  auto prepared = engine_->Prepare(kWindowed);
+  BLAZEIT_ASSERT_OK(prepared);
+  const AnalyzedQuery& query = prepared.value().query;
+  auto window =
+      ResolveFrameWindow(query, stream_->config.fps,
+                         stream_->test_day->num_frames());
+  BLAZEIT_ASSERT_OK(window);
+  ASSERT_EQ(window.value().begin, 300);
+  ASSERT_EQ(window.value().end, 750);
+  AggregationExecutor executor(stream_, engine_->options().aggregate);
+  auto direct = executor.RunPlainAqp(query.agg_class, query.error,
+                                     query.confidence, window.value());
+  BLAZEIT_ASSERT_OK(direct);
+  EXPECT_TRUE(BitsEqual(shed.scalar, direct.value().estimate));
+  EXPECT_EQ(shed.cost.detection_calls(), direct.value().detection_calls);
+  EXPECT_TRUE(BitsEqual(shed.cost.TotalSeconds(),
+                        direct.value().cost.TotalSeconds()));
+  EXPECT_EQ(shed.plan, PlanKind::kAqpAggregation);
+}
+
+// A shed scrub is the scrubbing executor's scan plan on the same query.
+TEST_F(ServeTest, ShedScrubbingIsTheExecutorsScan) {
+  ServeOptions options;
+  options.window_ticks = 100;
+  options.shed_depth = 0;
+  AdmissionQueue queue(engine_, options);
+  BLAZEIT_ASSERT_OK(queue.Submit("alice", kScrubbing));
+  queue.Drain();
+  std::vector<ServeResponse> completed = queue.TakeCompleted();
+  ASSERT_EQ(completed.size(), 1u);
+  ASSERT_TRUE(completed[0].degraded);
+  BLAZEIT_ASSERT_OK(completed[0].output);
+  const QueryOutput& shed = completed[0].output.value();
+
+  auto prepared = engine_->Prepare(kScrubbing);
+  BLAZEIT_ASSERT_OK(prepared);
+  const AnalyzedQuery& query = prepared.value().query;
+  ScrubbingExecutor executor(stream_, engine_->options().scrub,
+                             /*sweep_cache=*/nullptr, /*trace=*/nullptr,
+                             engine_->options().use_store_index);
+  auto direct = executor.RunScan(query.requirements, query.limit, query.gap);
+  BLAZEIT_ASSERT_OK(direct);
+  EXPECT_FALSE(direct.value().frames.empty());
+  EXPECT_EQ(shed.frames, direct.value().frames);
+  EXPECT_EQ(shed.cost.detection_calls(), direct.value().detection_calls);
+  EXPECT_TRUE(BitsEqual(shed.cost.TotalSeconds(),
+                        direct.value().cost.TotalSeconds()));
+  EXPECT_EQ(shed.plan, PlanKind::kScanScrubbing);
 }
 
 TEST_F(ServeTest, ShedLeavesUnsheddableKindsOnFullPlan) {
